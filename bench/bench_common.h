@@ -3,9 +3,11 @@
 
 // Shared plumbing for the figure/table reproduction harnesses.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -42,6 +44,82 @@ double BestOfN(int n, const F& run) {
 template <typename F>
 double BestOfTwo(const F& run) {
   return BestOfN(2, run);
+}
+
+/// One rep's cost on two clocks: wall seconds, and the CPU seconds the
+/// whole process (every thread) spent — an instrumentation or logging
+/// overhead is extra work, and CPU time does not count the time a
+/// shared box spends running someone else.
+struct RepCost {
+  double wall_s = 0.0;
+  double cpu_s = 0.0;
+};
+
+template <typename F>
+RepCost MeasureRep(const F& run) {
+  const std::clock_t cpu0 = std::clock();
+  WallTimer timer;
+  run();
+  RepCost out;
+  out.wall_s = timer.ElapsedSeconds();
+  out.cpu_s = static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
+  return out;
+}
+
+/// A treatment's overhead against a baseline on one clock, measured in
+/// alternating reps (A B A B ...): box drift then lands on both sides
+/// alike instead of on whichever side ran as the second block. Each
+/// pair yields the throughput slowdown 100 * (1 - a_s / b_s); gates
+/// read the paired median, and min/max report the spread.
+struct PairedOverhead {
+  double median_pct = 0.0;
+  double min_pct = 0.0;
+  double max_pct = 0.0;
+  double base_median_s = 0.0;       ///< baseline seconds, median rep
+  double treatment_median_s = 0.0;  ///< treatment seconds, median rep
+};
+
+inline double MedianOf(std::vector<double> v) {
+  FASTPPR_CHECK(!v.empty());
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+inline PairedOverhead PairUp(const std::vector<double>& a,
+                             const std::vector<double>& b) {
+  std::vector<double> pct;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    pct.push_back(100.0 * (1.0 - a[i] / b[i]));
+  }
+  PairedOverhead out;
+  out.median_pct = MedianOf(pct);
+  out.min_pct = *std::min_element(pct.begin(), pct.end());
+  out.max_pct = *std::max_element(pct.begin(), pct.end());
+  out.base_median_s = MedianOf(a);
+  out.treatment_median_s = MedianOf(b);
+  return out;
+}
+
+/// The same alternating reps, read on both clocks.
+struct PairedCost {
+  PairedOverhead wall;
+  PairedOverhead cpu;
+};
+
+template <typename BaseFn, typename TreatmentFn>
+PairedCost AlternatingOverhead(int pairs, const BaseFn& base,
+                               const TreatmentFn& treatment) {
+  std::vector<double> a_wall, b_wall, a_cpu, b_cpu;
+  for (int i = 0; i < pairs; ++i) {
+    const RepCost a = base();
+    const RepCost b = treatment();
+    a_wall.push_back(a.wall_s);
+    b_wall.push_back(b.wall_s);
+    a_cpu.push_back(a.cpu_s);
+    b_cpu.push_back(b.cpu_s);
+  }
+  return PairedCost{PairUp(a_wall, b_wall), PairUp(a_cpu, b_cpu)};
 }
 
 /// Struct-result variant: keeps the whole result of whichever run scored

@@ -4,8 +4,9 @@
 //
 //   * wal_overhead_pct          — ingestion slowdown with an fsync'd WAL
 //                                 record per window vs the same engine
-//                                 without durability (target: < 15% at
-//                                 production window sizes);
+//                                 without durability: the median over
+//                                 alternating rep pairs, with its min/max
+//                                 (gate: <= 15% on the paired median);
 //   * checkpoint_write_mb_s     — serialized arena bytes through the
 //                                 tmp + fsync + rename protocol;
 //   * recovery_ms               — crash-to-serving latency from a recent
@@ -14,13 +15,13 @@
 //                                 re-ingest the whole stream from the log
 //                                 (checkpoint taken at window 0 only).
 //
-//   bench_durability [--smoke] [--json <path>]
+//   bench_durability [--json <path>]
 //
-// --smoke shrinks the stream to CI size so the report path is exercised
-// on every push.
+// There is no smaller CI size: the WAL budget is stated for the
+// production window (at 512-event windows the fsync per window alone
+// exceeds it).
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -66,6 +67,13 @@ double TimeEngineWindows(PrEngine* engine,
   });
 }
 
+/// One timed rep of TimeEngineWindows, on both clocks.
+RepCost EngineWindowsCost(PrEngine* engine,
+                          const std::vector<EdgeEvent>& events,
+                          std::size_t window) {
+  return MeasureRep([&] { TimeEngineWindows(engine, events, window); });
+}
+
 std::string FreshDir(const std::string& name) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / name).string();
@@ -79,24 +87,19 @@ std::string FreshDir(const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-
   Banner("Durability: WAL overhead, checkpoint bandwidth, restart latency",
          "the production PageRank Store deployment of Bahmani et al., "
          "VLDB 2010 (Section 1.1)");
 
-  const std::size_t n = smoke ? 2000 : 20000;
+  const std::size_t n = 20000;
   const std::size_t R = 5;
   const double eps = 0.2;
-  const std::size_t window = smoke ? 512 : 4096;
+  const std::size_t window = 4096;
 
   const auto events = PowerLawEvents(n, 77);
   std::printf("power-law stream: n=%zu, m=%zu insertions, R=%zu, "
-              "eps=%.2f, window=%zu%s\n\n",
-              n, events.size(), R, eps, window, smoke ? " (smoke)" : "");
+              "eps=%.2f, window=%zu\n\n",
+              n, events.size(), R, eps, window);
 
   MonteCarloOptions mc;
   mc.walks_per_node = R;
@@ -110,27 +113,37 @@ int main(int argc, char** argv) {
   report.Add("num_nodes", static_cast<double>(n));
   report.Add("num_events", static_cast<double>(events.size()));
   report.Add("window", static_cast<double>(window));
-  report.Add("smoke", smoke ? 1.0 : 0.0);
 
-  // --- Ingestion with and without the log. Best of two fresh runs each;
+  // --- Ingestion with and without the log, in alternating rep pairs;
   // determinism makes the reps bit-identical, so the spread is noise.
-  const double base_eps_sec = BestOfTwo([&] {
-    PrEngine engine(n, mc, sharding);
-    return TimeEngineWindows(&engine, events, window);
-  });
-
+  // The gate reads wall time: the log's main cost is waiting on fsync,
+  // which process CPU time does not count (it is reported beside it).
+  // 31 pairs (~25 s): single pairs spread over about +-35% on a shared
+  // box, and at 9 pairs the median still scattered over about +-11%.
+  const int pairs = 31;
   const std::string wal_dir = FreshDir("fastppr_bench_durability_wal");
   std::unique_ptr<PrEngine> durable_holder;
-  const double durable_eps_sec = BestOfTwo([&] {
-    durable_holder = std::make_unique<PrEngine>(n, mc, sharding);
-    DurabilityOptions dopts;
-    dopts.directory = wal_dir;
-    dopts.checkpoint_interval_windows = 0;  // log only; no mid-stream ckpt
-    FASTPPR_CHECK(durable_holder->EnableDurability(dopts).ok());
-    return TimeEngineWindows(durable_holder.get(), events, window);
-  });
-  const double wal_overhead_pct =
-      100.0 * (base_eps_sec - durable_eps_sec) / base_eps_sec;
+  const PairedCost overhead = AlternatingOverhead(
+      pairs,
+      [&] {
+        PrEngine engine(n, mc, sharding);
+        return EngineWindowsCost(&engine, events, window);
+      },
+      [&] {
+        durable_holder.reset();
+        FreshDir("fastppr_bench_durability_wal");
+        durable_holder = std::make_unique<PrEngine>(n, mc, sharding);
+        DurabilityOptions dopts;
+        dopts.directory = wal_dir;
+        dopts.checkpoint_interval_windows = 0;  // log only
+        FASTPPR_CHECK(durable_holder->EnableDurability(dopts).ok());
+        return EngineWindowsCost(durable_holder.get(), events, window);
+      });
+  const double num_events = static_cast<double>(events.size());
+  const double base_eps_sec = num_events / overhead.wall.base_median_s;
+  const double durable_eps_sec =
+      num_events / overhead.wall.treatment_median_s;
+  const double wal_overhead_pct = overhead.wall.median_pct;
 
   // --- Checkpoint bandwidth: serialize + fsync + rename the full arena
   // state of the loaded engine.
@@ -191,7 +204,13 @@ int main(int argc, char** argv) {
                 TablePrinter::Fmt(base_eps_sec, 0)});
   table.AddRow({"ingest events/sec (WAL, fsync/window)",
                 TablePrinter::Fmt(durable_eps_sec, 0)});
-  table.AddRow({"WAL overhead %", TablePrinter::Fmt(wal_overhead_pct, 2)});
+  table.AddRow({"WAL overhead % (paired median)",
+                TablePrinter::Fmt(wal_overhead_pct, 2)});
+  table.AddRow({"WAL overhead % min / max",
+                TablePrinter::Fmt(overhead.wall.min_pct, 2) + " / " +
+                    TablePrinter::Fmt(overhead.wall.max_pct, 2)});
+  table.AddRow({"WAL overhead % CPU time (paired median)",
+                TablePrinter::Fmt(overhead.cpu.median_pct, 2)});
   table.AddRow({"checkpoint MB", TablePrinter::Fmt(
                                      static_cast<double>(ckpt_bytes) /
                                          (1024.0 * 1024.0),
@@ -209,11 +228,19 @@ int main(int argc, char** argv) {
   report.Add("base_events_per_sec", base_eps_sec);
   report.Add("durable_events_per_sec", durable_eps_sec);
   report.Add("wal_overhead_pct", wal_overhead_pct);
+  report.Add("wal_overhead_min_pct", overhead.wall.min_pct);
+  report.Add("wal_overhead_max_pct", overhead.wall.max_pct);
+  report.Add("wal_overhead_cpu_pct", overhead.cpu.median_pct);
+  report.Add("wal_overhead_pairs", static_cast<double>(pairs));
   report.Add("checkpoint_bytes", static_cast<double>(ckpt_bytes));
   report.Add("checkpoint_write_mb_s", checkpoint_write_mb_s);
   report.Add("recovery_ms", recovery_ms);
   report.Add("wal_replay_events_per_sec", wal_replay_events_per_sec);
   report.WriteTo(JsonPathFromArgs(argc, argv,
                                   ResultsDir() + "/BENCH_durability.json"));
+  // The durability budget, gated on the paired median.
+  std::fflush(stdout);  // a failed gate still shows its numbers
+  FASTPPR_CHECK_MSG(wal_overhead_pct <= 15.0,
+                    "WAL overhead exceeds the 15% budget");
   return 0;
 }

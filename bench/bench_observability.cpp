@@ -2,9 +2,13 @@
 // (DESIGN.md §9).
 //
 //   * metrics_overhead_pct — quiescent ingest slowdown with metrics hot
-//                            vs the same engine with metrics disabled
-//                            (contract: <= 2%, asserted here and grepped
-//                            in CI);
+//                            vs the same engine with metrics disabled,
+//                            in process CPU time: the median over
+//                            alternating cold/hot rep pairs, with its
+//                            min/max (contract: <= 2% on the paired
+//                            median, asserted here and grepped in CI;
+//                            the wall-time figures are reported beside
+//                            it as metrics_overhead_wall_*);
 //   * {topk,score,personalized}_{p50,p99,p999}_us — per-query-class
 //                            service latency percentiles from the
 //                            engine's lock-free LatencyHistograms;
@@ -15,13 +19,12 @@
 //   * results/trace_observability.json — the same timeline as a
 //                            chrome://tracing / Perfetto-loadable file.
 //
-//   bench_observability [--smoke] [--json <path>]
+//   bench_observability [--json <path>]
 //
-// --smoke shrinks the stream to CI size so the report path (and the
-// overhead guard) is exercised on every push.
+// There is no smaller CI size: on a 2k-node stream (16 ms reps) the
+// pair-to-pair spread of the gated overhead is ten times its 2% bound.
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,28 +75,25 @@ void AddHistogramKeys(JsonReport* report, const std::string& prefix,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-
   Banner("Observability: metrics overhead, query-class latency "
          "percentiles, phase utilization",
          "the per-update cost model of Bahmani et al., VLDB 2010 "
          "(Theorem 1), measured per phase and per percentile");
 
-  const std::size_t n = smoke ? 2000 : 20000;
+  const std::size_t n = 20000;
   const std::size_t R = 5;
   const double eps = 0.2;
-  const std::size_t window = smoke ? 512 : 4096;
+  const std::size_t window = 4096;
   const std::size_t S = 4;
-  const int reps = smoke ? 5 : 3;
+  // 101 pairs (~40 s): a 150 ms rep's CPU time still varies by about
+  // +-10% on a shared box, and the median needs ~100 pairs to settle
+  // within about +-1% (15 pairs scattered it over about +-3%).
+  const int pairs = 101;
 
   const auto events = PowerLawEvents(n, 77);
   std::printf("power-law stream: n=%zu, m=%zu insertions, R=%zu, "
-              "eps=%.2f, window=%zu, shards=%zu%s\n\n",
-              n, events.size(), R, eps, window, S,
-              smoke ? " (smoke)" : "");
+              "eps=%.2f, window=%zu, shards=%zu\n\n",
+              n, events.size(), R, eps, window, S);
 
   MonteCarloOptions mc;
   mc.walks_per_node = R;
@@ -106,31 +106,44 @@ int main(int argc, char** argv) {
   report.Add("num_events", static_cast<double>(events.size()));
   report.Add("window", static_cast<double>(window));
   report.Add("num_shards", static_cast<double>(S));
-  report.Add("smoke", smoke ? 1.0 : 0.0);
 
   // --- Part 1: the overhead contract. Identical engine-only ingest
-  // with metrics cold vs hot; determinism makes every rep bit-identical,
-  // so best-of-N on both sides isolates the instrumentation cost from
-  // box noise.
-  const double cold_eps_sec = BestOfN(reps, [&] {
+  // with metrics cold vs hot, in alternating rep pairs; determinism
+  // makes every rep bit-identical, so the pair-to-pair spread is noise.
+  // Each rep is timed on both clocks: the gate reads process CPU time
+  // (the metrics' cost is extra work on every engine thread, and CPU
+  // time does not count the time a shared box spends on other tenants),
+  // wall time is reported beside it.
+  auto ingest_cost = [&](bool metrics) {
     PrEngine engine(n, mc, sharding);
-    engine.SetMetricsEnabled(false);
-    return TimeWindows(events, window, [&](std::span<const EdgeEvent> w) {
-      return engine.ApplyEvents(w);
+    engine.SetMetricsEnabled(metrics);
+    return MeasureRep([&] {
+      TimeWindows(events, window, [&](std::span<const EdgeEvent> w) {
+        return engine.ApplyEvents(w);
+      });
     });
-  });
-  const double hot_eps_sec = BestOfN(reps, [&] {
-    PrEngine engine(n, mc, sharding);  // metrics on by default
-    return TimeWindows(events, window, [&](std::span<const EdgeEvent> w) {
-      return engine.ApplyEvents(w);
-    });
-  });
-  const double metrics_overhead_pct =
-      100.0 * (cold_eps_sec - hot_eps_sec) / cold_eps_sec;
-  std::printf("ingest metrics-cold: %.0f events/sec\n", cold_eps_sec);
-  std::printf("ingest metrics-hot:  %.0f events/sec  (overhead %.2f%%)\n\n",
-              hot_eps_sec, metrics_overhead_pct);
-  // The tentpole contract: always-on metrics must cost < 2% of ingest.
+  };
+  const PairedCost overhead =
+      AlternatingOverhead(pairs, [&] { return ingest_cost(false); },
+                          [&] { return ingest_cost(true); });
+  const double metrics_overhead_pct = overhead.cpu.median_pct;
+  const double num_events = static_cast<double>(events.size());
+  const double cold_eps_sec = num_events / overhead.wall.base_median_s;
+  const double hot_eps_sec = num_events / overhead.wall.treatment_median_s;
+  std::printf("ingest metrics-cold: %.0f events/sec (median of %d)\n",
+              cold_eps_sec, pairs);
+  std::printf("ingest metrics-hot:  %.0f events/sec (median of %d)\n",
+              hot_eps_sec, pairs);
+  std::printf("overhead, paired median, CPU:  %.2f%% (min %.2f%%, max "
+              "%.2f%%)\n",
+              metrics_overhead_pct, overhead.cpu.min_pct,
+              overhead.cpu.max_pct);
+  std::printf("overhead, paired median, wall: %.2f%% (min %.2f%%, max "
+              "%.2f%%)\n\n",
+              overhead.wall.median_pct, overhead.wall.min_pct,
+              overhead.wall.max_pct);
+  // The tentpole contract: always-on metrics must cost <= 2% of ingest.
+  std::fflush(stdout);  // a failed gate still shows its numbers
   FASTPPR_CHECK_MSG(metrics_overhead_pct <= 2.0,
                     "observability overhead exceeds the 2% budget");
 
@@ -165,13 +178,12 @@ int main(int argc, char** argv) {
   service->Quiesce();
   report.Add("serving_events_per_sec", serving_eps_sec);
 
-  const std::size_t topk_queries = smoke ? 200 : 1000;
-  const std::size_t score_queries = smoke ? 20000 : 100000;
-  const std::size_t personalized_queries = smoke ? 100 : 1000;
+  const std::size_t topk_queries = 1000;
+  const std::size_t score_queries = 100000;
+  const std::size_t personalized_queries = 1000;
 
-  ReadScratch scratch;
   for (std::size_t q = 0; q < topk_queries; ++q) {
-    FASTPPR_CHECK(!service->TopKInto(10, &scratch).empty());
+    FASTPPR_CHECK(!service->TopK(10).empty());
   }
   double sink = 0.0;
   for (std::size_t q = 0; q < score_queries; ++q) {
@@ -210,6 +222,12 @@ int main(int argc, char** argv) {
   report.Add("util_repair", util_repair);
   report.Add("util_publish", util_publish);
   report.Add("metrics_overhead_pct", metrics_overhead_pct);
+  report.Add("metrics_overhead_min_pct", overhead.cpu.min_pct);
+  report.Add("metrics_overhead_max_pct", overhead.cpu.max_pct);
+  report.Add("metrics_overhead_wall_pct", overhead.wall.median_pct);
+  report.Add("metrics_overhead_wall_min_pct", overhead.wall.min_pct);
+  report.Add("metrics_overhead_wall_max_pct", overhead.wall.max_pct);
+  report.Add("metrics_overhead_pairs", static_cast<double>(pairs));
   report.Add("cold_events_per_sec", cold_eps_sec);
   report.Add("hot_events_per_sec", hot_eps_sec);
 

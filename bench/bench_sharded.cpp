@@ -1,10 +1,10 @@
 // Sharded parallel engine (src/fastppr/engine/): ingestion throughput at
 // S in {1, 2, 4, 8} node shards against the flat engine on the same
 // power-law stream, plus query QPS through the QueryService snapshot
-// layer — quiescent and concurrent with ingestion. Since PR 4 every
-// query class is concurrent: TopK/Score read seqlock count snapshots
-// and PersonalizedTopK stitches walks against frozen segment-snapshot
-// views, so the concurrent sections measure BOTH the reader throughput
+// layer — quiescent and concurrent with ingestion. Every query class
+// is concurrent: TopK/Score read the merged count array and its
+// precomputed top-K prefix, and PersonalizedTopK stitches walks, from
+// one published view set, so the concurrent sections measure BOTH the reader throughput
 // and the ingestion rate the writer sustains underneath. The S=1 run
 // doubles as a determinism audit: its merged visit counts must equal
 // the flat engine's bit for bit.
@@ -228,13 +228,11 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Quiescent query throughput against the published snapshots
-    // (caller-owned ReadScratch: the steady-state path allocates
-    // nothing).
-    ReadScratch scratch;
+    // Quiescent query throughput against the published view set (TopK
+    // copies the precomputed prefix; Score is one array load).
     WallTimer topk_timer;
     for (std::size_t q = 0; q < topk_queries; ++q) {
-      if (service.TopKInto(10, &scratch).size() != 10) std::abort();
+      if (service.TopK(10).size() != 10) std::abort();
     }
     const double topk_qps =
         static_cast<double>(topk_queries) / topk_timer.ElapsedSeconds();
@@ -286,15 +284,15 @@ int main(int argc, char** argv) {
 
     // Reads concurrent with ingestion: a reader thread hammers TopK
     // against a fresh engine while the main thread re-ingests the
-    // stream. The seqlock snapshots keep readers lock-free throughout.
+    // stream. Readers pin the published view set and never block the
+    // writer.
     ShardedEngine<IncrementalPageRank> engine2(n, mc, sopts);
     QueryService<IncrementalPageRank> service2(&engine2);
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> concurrent_reads{0};
     std::thread reader([&] {
-      ReadScratch reader_scratch;
       while (!stop.load(std::memory_order_acquire)) {
-        if (service2.TopKInto(10, &reader_scratch).empty()) std::abort();
+        if (service2.TopK(10).empty()) std::abort();
         concurrent_reads.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -423,9 +421,9 @@ int main(int argc, char** argv) {
   }
   table.Print();
   std::printf("\nS=1 merged counts verified bit-identical to the flat "
-              "engine; TopK/Score are lock-free seqlock snapshot reads "
-              "and PersonalizedTopK walks frozen segment-snapshot views "
-              "(single-epoch, never serializing with ingestion).\nOne "
+              "engine; TopK/Score and PersonalizedTopK all read one "
+              "published view set (single-epoch, never serializing with "
+              "ingestion).\nOne "
               "shared "
               "epoch-versioned graph serves every shard: at S=4 the "
               "replica architecture would pay 4.0x the graph memory on "

@@ -60,7 +60,10 @@ int main() {
               follows.size(), engine.num_shards(),
               static_cast<unsigned long long>(service.published_epoch()));
 
-  // Global authorities from the snapshot layer (lock-free reads).
+  // Global authorities from the published view set (TopK copies its
+  // precomputed prefix, Score is one array load). Quiesce first: reads
+  // trail the last window by the publish queue.
+  service.Quiesce();
   std::printf("\nglobal top authorities (snapshot TopK): ");
   for (NodeId v : service.TopK(5)) {
     std::printf("%u (%.5f)  ", v, service.Score(v));

@@ -4,45 +4,40 @@
 // Concurrent serving layer over a ShardedEngine (see DESIGN.md
 // sections 4, 6 and 11).
 //
-// Ranking reads (TopK / Score) are served from epoch-stamped visit-count
-// snapshots, double-buffered per shard behind a seqlock: the boundary
-// thread publishes into the inactive buffer and flips a sequence counter
-// (release); readers validate the counter around their (relaxed, atomic)
-// loads and retry on a concurrent flip. Readers therefore never block
-// ingestion and take no lock; ingestion's hot path (the per-event
-// repairs) never synchronizes with readers at all — only the publish at
-// each window boundary touches the shared buffers.
-//
-// Personalized reads (PersonalizedTopK) are served from *frozen
-// segment-snapshot views* (store/segment_snapshot.h): structurally
-// shared immutable copies of each shard's walk segments plus the
-// adjacency, flipped as one pointer table under the view mutex. A
-// reader pins the whole table with one shared_ptr copy (mutex held only
-// across the pointer copy, never across a walk) and stitches its walk
-// with plain loads. Each publish allocates only the window's delta;
-// clean chunks are shared with the previous view and freed by their
-// refcounts when the last pin drops.
+// Every read is served from one published *view set*, built at a
+// window boundary and flipped as a single pointer under the view mutex:
+//  * the merged ranking counts — the S shards' RankingCount summed into
+//    one int64 array plus its total, with a precomputed sorted prefix of
+//    the kCountPrefix best (node, count) pairs;
+//  * per-shard frozen walk segments and the frozen adjacency
+//    (store/segment_snapshot.h), structurally shared with the previous
+//    set, so a publish allocates only the window's delta.
+// A reader pins the whole set with one shared_ptr copy (the mutex is
+// held only across the pointer copy, never across a read or a walk).
+// TopK(k) is then a copy of the first k prefix entries, Score(v) one
+// array load, and PersonalizedTopK a walk stitched with plain loads.
+// Readers never block ingestion, and a retired set — count array and
+// unshared chunks — is freed at its last unpin.
 //
 // Publish pipelining: the service implements the engine's BoundarySink,
-// so snapshot publishing is driven by window-boundary callbacks instead
-// of the Ingest caller. In pipelined engine mode the callback runs on
-// the pipeline thread; it captures the boundary-frozen state (counts +
-// delta payloads) and hands assembly to a dedicated PUBLISHER thread —
+// so publishing is driven by window-boundary callbacks instead of the
+// Ingest caller. In pipelined engine mode the callback runs on the
+// pipeline thread; it sums the counts and captures the delta payloads
+// (everything that must be read while the boundary is frozen) and hands
+// prefix selection and assembly to a dedicated PUBLISHER thread —
 // publish of window k-1 overlaps repair of window k and ingest of
-// window k+1. In lockstep mode the callback runs inline on the caller
-// and frozen refreshes stay demand-gated (a writer with no personalized
-// readers skips them).
+// window k+1. In lockstep mode the callback runs inline: the count part
+// flips at every boundary, while segment and adjacency refreshes stay
+// demand-gated (a writer with no personalized readers skips them, and
+// the new set shares the previous segment and adjacency pointers).
 //
-// Consistency model:
-//  * Merged count reads: every per-shard read is torn-free and stamped
-//    with the ingestion epoch (windows applied) it was published at; a
-//    merged read overlapping a publish may combine shards from two
-//    *adjacent* epochs (reported via SnapshotInfo).
-//  * Personalized reads: the segment views and the adjacency view are
-//    flipped together, so one walk observes ONE epoch throughout
-//    (SnapshotInfo reports min_epoch == max_epoch). Reads lag live
-//    ingestion by at most the pipeline depth (lockstep: the in-flight
-//    window); Quiesce() is the freshness barrier.
+// Consistency model: every read observes ONE epoch (SnapshotInfo
+// reports min_epoch == max_epoch). In pipelined mode counts, segments
+// and adjacency always share that epoch, and reads trail ingestion by
+// at most the pipeline plus the publish queue; Quiesce() is the
+// freshness barrier. In lockstep mode counts are current at every
+// boundary and the personalized views may trail them until a
+// personalized read refreshes them.
 
 #include <atomic>
 #include <condition_variable>
@@ -70,115 +65,12 @@
 
 namespace fastppr {
 
-/// Which ingestion epochs a read combined. min_epoch == max_epoch unless
-/// a merged count read overlapped a publish (then they differ by at most
-/// the number of windows published during the read). Personalized reads
-/// are single-epoch by construction.
+/// Which ingestion epochs a read combined. Every read is served from
+/// one published view set, so min_epoch == max_epoch; personalized
+/// reads audit it across the adjacency and every segment view.
 struct SnapshotInfo {
   uint64_t min_epoch = 0;
   uint64_t max_epoch = 0;
-};
-
-/// Caller-owned scratch for allocation-free steady-state merged reads
-/// (one ReadScratch per reader thread; reused across queries).
-struct ReadScratch {
-  std::vector<int64_t> counts;     ///< merged per-node counts
-  std::vector<int64_t> shard_tmp;  ///< one shard's seqlock copy
-  std::vector<NodeId> ranked;      ///< TopKInto output
-};
-
-/// One shard's double-buffered, epoch-stamped count snapshot (seqlock).
-/// Single writer (the window-boundary thread), any number of lock-free
-/// readers.
-class SnapshotBuffer {
- public:
-  void Init(std::size_t num_nodes) {
-    for (Buf& b : bufs_) {
-      b.counts = std::vector<std::atomic<int64_t>>(num_nodes);
-    }
-  }
-
-  /// Writer only. Fills the inactive buffer and flips to it. The buffer
-  /// size is pinned at Init: a future growable-node engine must rebuild
-  /// the service instead of publishing out of bounds.
-  template <typename CountFn>
-  void Publish(std::size_t num_nodes, const CountFn& count, int64_t total,
-               uint64_t epoch) {
-    const uint64_t w = seq_.load(std::memory_order_relaxed);
-    // Orders the previous publish's seq store before this publish's data
-    // stores (fence-fence synchronization with the readers' acquire
-    // fence): a reader that observes any of the stores below is then
-    // guaranteed to observe seq >= w on its re-check and retry. Without
-    // this, a weakly-ordered CPU could let a reader validate a buffer
-    // two publishes stale.
-    std::atomic_thread_fence(std::memory_order_release);
-    Buf& b = bufs_[(w + 1) & 1];
-    FASTPPR_CHECK_MSG(b.counts.size() == num_nodes,
-                      "count snapshot buffer no longer matches "
-                      "num_nodes — rebuild the QueryService after "
-                      "growing the engine");
-    for (std::size_t v = 0; v < num_nodes; ++v) {
-      b.counts[v].store(count(v), std::memory_order_relaxed);
-    }
-    b.total.store(total, std::memory_order_relaxed);
-    b.epoch.store(epoch, std::memory_order_relaxed);
-    seq_.store(w + 1, std::memory_order_release);
-  }
-
-  /// Adds this shard's counts into `acc` and its total into `total`;
-  /// returns the snapshot's epoch. Lock-free; a read is copied into
-  /// `scratch` (caller-owned, resized here — at most one allocation per
-  /// scratch lifetime, not one per shard per retry) and merged only
-  /// after the sequence counter validates, so a concurrent publish costs
-  /// a retry, never a torn merge.
-  uint64_t AccumulateInto(std::vector<int64_t>* acc, int64_t* total,
-                          std::vector<int64_t>* scratch) const {
-    std::vector<int64_t>& tmp = *scratch;
-    tmp.resize(acc->size());
-    for (;;) {
-      const uint64_t s1 = seq_.load(std::memory_order_acquire);
-      const Buf& b = bufs_[s1 & 1];
-      for (std::size_t v = 0; v < tmp.size(); ++v) {
-        tmp[v] = b.counts[v].load(std::memory_order_relaxed);
-      }
-      const int64_t t = b.total.load(std::memory_order_relaxed);
-      const uint64_t epoch = b.epoch.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (seq_.load(std::memory_order_relaxed) == s1) {
-        for (std::size_t v = 0; v < tmp.size(); ++v) {
-          (*acc)[v] += tmp[v];
-        }
-        *total += t;
-        return epoch;
-      }
-    }
-  }
-
-  /// Single-node read; returns the snapshot's epoch.
-  uint64_t ReadOne(NodeId v, int64_t* count, int64_t* total) const {
-    for (;;) {
-      const uint64_t s1 = seq_.load(std::memory_order_acquire);
-      const Buf& b = bufs_[s1 & 1];
-      const int64_t c = b.counts[v].load(std::memory_order_relaxed);
-      const int64_t t = b.total.load(std::memory_order_relaxed);
-      const uint64_t epoch = b.epoch.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (seq_.load(std::memory_order_relaxed) == s1) {
-        *count = c;
-        *total = t;
-        return epoch;
-      }
-    }
-  }
-
- private:
-  struct Buf {
-    std::vector<std::atomic<int64_t>> counts;
-    std::atomic<int64_t> total{0};
-    std::atomic<uint64_t> epoch{0};
-  };
-  Buf bufs_[2];
-  std::atomic<uint64_t> seq_{0};
 };
 
 /// Serving front door: ingest windows through Ingest(), read rankings
@@ -202,8 +94,19 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   /// captured-but-unassembled windows may stack up before window
   /// boundaries backpressure on the publisher.
   static constexpr std::size_t kPublishQueueCap = 4;
+  struct FrozenViewSet;
 
  public:
+  /// Length of the sorted (node, count) prefix every publish selects.
+  /// Every service TopK in the repository (the serving tier's default,
+  /// the benches and the perfbench workloads) asks for k <= 10; 128 is
+  /// a margin above that, not a measured need. The margin is free:
+  /// selecting 10, 128 or 256 of 300k counts is the same O(n) pass
+  /// (~0.35 ms; 1024 costs ~0.47 ms), and the prefix is 2 KB per
+  /// published set. A k past the prefix is still answered exactly, by a
+  /// selection over the pinned count array.
+  static constexpr std::size_t kCountPrefix = 128;
+
   /// Per-query walk statistics type (differs between the two engines).
   using WalkStats =
       std::conditional_t<kIsSalsa, SalsaWalkResult, PersonalizedWalkResult>;
@@ -219,8 +122,6 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     const auto& store = engine_->shard(0).walk_store();
     walks_per_node_ = store.walks_per_node();
     epsilon_ = store.epsilon();
-    snapshots_ = std::vector<SnapshotBuffer>(engine_->num_shards());
-    for (SnapshotBuffer& s : snapshots_) s.Init(engine_->num_nodes());
     // The dense global->local segment map (immutable for the service's
     // lifetime; shared by the per-shard builders and every reader).
     ownership_ = engine_->MakeSegmentOwnership();
@@ -292,8 +193,8 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     WaitPublisherIdle();
   }
 
-  /// Epoch of the most recent window boundary's count publish (frozen
-  /// views may trail by the publish queue depth in pipelined mode).
+  /// Epoch of the most recent window boundary (the published view set
+  /// may trail it by the publish queue depth in pipelined mode).
   uint64_t published_epoch() const {
     return published_epoch_.load(std::memory_order_acquire);
   }
@@ -329,106 +230,142 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     std::size_t adjacency_bytes = 0;
   };
   FrozenViewStats FrozenStats() const {
-    std::shared_ptr<const FrozenViewSet> pin;
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      pin = frozen_view_;
-    }
+    const Pin pin = PinView();
+    const FrozenViewSet& set = *pin.set_;
     FrozenViewStats out;
-    if (pin != nullptr) {
-      const std::size_t spn = pin->ownership->segments_per_node();
-      for (const auto& segs : pin->segments) {
-        out.segment_bytes += segs->MemoryBytes();
-        out.segment_row_table_bytes += segs->row_table_bytes();
-        out.segment_rows_dense += segs->num_segments();
-        out.segment_rows_global_model += engine_->num_nodes() * spn;
-        out.max_shard_segment_bytes =
-            std::max(out.max_shard_segment_bytes, segs->MemoryBytes());
-      }
-      if (pin->graph != nullptr) {
-        out.adjacency_bytes = pin->graph->MemoryBytes();
-      }
+    const std::size_t spn = set.ownership->segments_per_node();
+    for (const auto& segs : set.segments) {
+      out.segment_bytes += segs->MemoryBytes();
+      out.segment_row_table_bytes += segs->row_table_bytes();
+      out.segment_rows_dense += segs->num_segments();
+      out.segment_rows_global_model += engine_->num_nodes() * spn;
+      out.max_shard_segment_bytes =
+          std::max(out.max_shard_segment_bytes, segs->MemoryBytes());
     }
-    // Drop the pin under the view mutex (the unpin contract).
-    std::lock_guard<std::mutex> lock(view_mu_);
-    pin.reset();
+    out.adjacency_bytes = set.graph->MemoryBytes();
     return out;
   }
 
-  /// Merged per-node counts from the current snapshots into
-  /// caller-owned scratch (allocation-free once the scratch is warm).
-  /// Returns a reference to scratch->counts. Lock-free.
-  const std::vector<int64_t>& SnapshotCountsInto(
-      ReadScratch* scratch, int64_t* total = nullptr,
-      SnapshotInfo* info = nullptr) const {
-    scratch->counts.assign(engine_->num_nodes(), 0);
-    int64_t t = 0;
-    SnapshotInfo si;
-    si.min_epoch = ~uint64_t{0};
-    for (const SnapshotBuffer& snap : snapshots_) {
-      const uint64_t e =
-          snap.AccumulateInto(&scratch->counts, &t, &scratch->shard_tmp);
-      si.min_epoch = std::min(si.min_epoch, e);
-      si.max_epoch = std::max(si.max_epoch, e);
+  /// A reader's pin on the published view set. Everything it exposes
+  /// comes from one boundary epoch, and the whole set (count array,
+  /// segment chunks, adjacency) stays alive until the pin is destroyed.
+  /// Pinning copies the published pointer under the view mutex;
+  /// unpinning is a plain refcount drop, so whichever holder lets go
+  /// last — a reader or the flip — frees a retired set, and never while
+  /// holding the view mutex.
+  class Pin {
+   public:
+    Pin(Pin&&) noexcept = default;
+    Pin& operator=(Pin&&) noexcept = default;
+
+    /// The boundary epoch the pinned counts were summed at.
+    uint64_t epoch() const { return set_->counts->epoch; }
+    SnapshotInfo info() const { return SnapshotInfo{epoch(), epoch()}; }
+    /// Merged per-node counts (PageRank visits / SALSA authority
+    /// visits) and their total.
+    std::span<const int64_t> counts() const { return set_->counts->counts; }
+    int64_t total() const { return set_->counts->total; }
+    /// The sorted kCountPrefix-long (or n-long, if shorter) prefix.
+    std::span<const CountedNode> prefix() const {
+      return set_->counts->prefix;
     }
-    if (total != nullptr) *total = t;
-    if (info != nullptr) *info = si;
-    return scratch->counts;
+
+    /// The k best (node, count) pairs in ranking order: the prefix's
+    /// first k entries, or for k past the prefix a selection over the
+    /// pinned array into `spill`.
+    std::span<const CountedNode> Top(std::size_t k,
+                                     std::vector<CountedNode>* spill) const {
+      const std::span<const CountedNode> head = prefix();
+      if (k <= head.size() || head.size() == counts().size()) {
+        return head.first(std::min(k, head.size()));
+      }
+      TopCountsInto(counts(), k, spill);
+      return *spill;
+    }
+
+    /// Normalized score of v (visit frequency); v < num_nodes.
+    double Score(NodeId v) const {
+      return total() == 0 ? 0.0
+                          : static_cast<double>(counts()[v]) /
+                                static_cast<double>(total());
+    }
+
+   private:
+    friend class QueryService;
+    explicit Pin(std::shared_ptr<const FrozenViewSet> set)
+        : set_(std::move(set)) {}
+
+    std::shared_ptr<const FrozenViewSet> set_;
+  };
+
+  /// Pins the currently published view set (one mutex-guarded pointer
+  /// copy; never blocks on ingestion or publishing).
+  Pin PinView() const {
+    std::lock_guard<std::mutex> lock(view_mu_);
+    FASTPPR_CHECK_MSG(frozen_view_ != nullptr,
+                      "no published snapshot to serve from");
+    return Pin(frozen_view_);
   }
 
-  /// Allocating convenience wrapper around SnapshotCountsInto.
+  /// Copy of the published merged counts (tests; serving reads use the
+  /// pinned array through TopK/Score/PinView).
   std::vector<int64_t> SnapshotCounts(int64_t* total = nullptr,
                                       SnapshotInfo* info = nullptr) const {
-    ReadScratch scratch;
-    SnapshotCountsInto(&scratch, total, info);
-    return std::move(scratch.counts);
+    const Pin pin = PinView();
+    if (total != nullptr) *total = pin.total();
+    if (info != nullptr) *info = pin.info();
+    return std::vector<int64_t>(pin.counts().begin(), pin.counts().end());
   }
 
-  /// Nodes with the k highest snapshot counts (the shared TopKByCount
-  /// ranking — identical ordering to the engines' TopK), built in
-  /// caller-owned scratch: the steady-state read path allocates nothing.
-  /// Returns a reference to scratch->ranked. Lock-free.
-  const std::vector<NodeId>& TopKInto(std::size_t k, ReadScratch* scratch,
-                                      SnapshotInfo* info = nullptr) const {
-    const bool hot = engine_->metrics_enabled();
-    const uint64_t t0 = hot ? obs::NowNanos() : 0;
-    SnapshotCountsInto(scratch, nullptr, info);
-    TopKByCountInto(scratch->counts, k, &scratch->ranked);
-    if (hot) om_.query_topk->Record(obs::NowNanos() - t0);
-    return scratch->ranked;
-  }
-
-  /// Allocating convenience wrapper around TopKInto.
+  /// Nodes with the k highest published counts (the engines' TopK
+  /// ranking order): one pin plus a copy of the first k prefix entries.
   std::vector<NodeId> TopK(std::size_t k,
                            SnapshotInfo* info = nullptr) const {
-    ReadScratch scratch;
-    TopKInto(k, &scratch, info);
-    return std::move(scratch.ranked);
-  }
-
-  /// Normalized snapshot score of one node (PageRank visit frequency /
-  /// SALSA authority frequency). Lock-free and allocation-free.
-  double Score(NodeId v, SnapshotInfo* info = nullptr) const {
     const bool hot = engine_->metrics_enabled();
     const uint64_t t0 = hot ? obs::NowNanos() : 0;
-    int64_t count = 0;
-    int64_t total = 0;
-    SnapshotInfo si;
-    si.min_epoch = ~uint64_t{0};
-    for (const SnapshotBuffer& snap : snapshots_) {
-      int64_t c = 0;
-      int64_t t = 0;
-      const uint64_t e = snap.ReadOne(v, &c, &t);
-      count += c;
-      total += t;
-      si.min_epoch = std::min(si.min_epoch, e);
-      si.max_epoch = std::max(si.max_epoch, e);
+    std::vector<NodeId> out;
+    {
+      const Pin pin = PinView();
+      std::vector<CountedNode> spill;
+      const std::span<const CountedNode> top = pin.Top(k, &spill);
+      out.reserve(top.size());
+      for (const CountedNode& c : top) out.push_back(c.node);
+      if (info != nullptr) *info = pin.info();
     }
-    if (info != nullptr) *info = si;
+    if (hot) om_.query_topk->Record(obs::NowNanos() - t0);
+    return out;
+  }
+
+  /// TopK with each node's count and normalized score — the serving
+  /// tier's stale-fallback answer, read from the same prefix.
+  std::vector<ScoredNode> TopKScored(std::size_t k,
+                                     SnapshotInfo* info = nullptr) const {
+    const Pin pin = PinView();
+    std::vector<CountedNode> spill;
+    const std::span<const CountedNode> top = pin.Top(k, &spill);
+    std::vector<ScoredNode> out;
+    out.reserve(top.size());
+    for (const CountedNode& c : top) {
+      out.push_back(ScoredNode{c.node, c.count, pin.Score(c.node)});
+    }
+    if (info != nullptr) *info = pin.info();
+    return out;
+  }
+
+  /// Normalized published score of one node (PageRank visit frequency /
+  /// SALSA authority frequency): one pin plus one array load.
+  double Score(NodeId v, SnapshotInfo* info = nullptr) const {
+    FASTPPR_CHECK_MSG(v < engine_->num_nodes(), "Score: node out of range");
+    const bool hot = engine_->metrics_enabled();
+    const uint64_t t0 = hot ? obs::NowNanos() : 0;
+    double score = 0.0;
+    {
+      const Pin pin = PinView();
+      score = pin.Score(v);
+      if (info != nullptr) *info = pin.info();
+    }
     if (hot) om_.query_score->Record(obs::NowNanos() - t0);
-    return total == 0 ? 0.0
-                      : static_cast<double>(count) /
-                            static_cast<double>(total);
+    return score;
   }
 
   /// Personalized top-k (Algorithm 1 stitched walk; authority-ranked for
@@ -468,14 +405,9 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     // Arm the next window boundary's frozen refresh (lockstep's demand
     // gate; pipelined publishes unconditionally, so the flag is inert).
     frozen_demand_.store(true, std::memory_order_relaxed);
-    std::shared_ptr<const FrozenViewSet> pin;
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      pin = frozen_view_;
-    }
-    FASTPPR_CHECK_MSG(pin != nullptr && pin->graph != nullptr,
-                      "no published snapshot to serve from");
-    if (engine_->lockstep() && pin->graph->epoch() != published_epoch() &&
+    Pin pin = PinView();
+    if (engine_->lockstep() &&
+        pin.set_->graph->epoch() != published_epoch() &&
         window_mu_.try_lock()) {
       // Lockstep only: the view lags the engine (frozen publishes were
       // skipped while no personalized reads were in flight) and the
@@ -494,50 +426,29 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
       const Ctx ctx = engine_->QuiescentBoundaryContext();
       PublishJob job;
       job.epoch = ctx.epoch;
-      job.full = false;
-      CaptureJob(ctx, /*full=*/false, &job);
+      CaptureFrozen(ctx, /*full=*/false, &job);
       AssembleAndFlip(std::move(job));
       // The demand flag stays armed: clearing it here could erase a
       // demand another reader raised concurrently, letting the writer
       // skip a boundary it owed — the cost of leaving it set is at most
       // one redundant (delta, usually empty) publish.
-      std::lock_guard<std::mutex> view_lock(view_mu_);
-      pin = frozen_view_;
+      pin = PinView();
     }
-    if (info != nullptr) {
-      // Audited, not assumed: min/max span the adjacency AND every
-      // segment view, so the single-epoch contract's assertions in the
-      // tests and bench actually bite if a publish ever flips them at
-      // different epochs.
-      info->min_epoch = pin->graph->epoch();
-      info->max_epoch = pin->graph->epoch();
-      for (const auto& segs : pin->segments) {
-        info->min_epoch = std::min(info->min_epoch, segs->epoch());
-        info->max_epoch = std::max(info->max_epoch, segs->epoch());
-      }
-    }
-    const FrozenSegmentView view(&pin->segments, pin->ownership.get(),
+    const FrozenViewSet& set = *pin.set_;
+    if (info != nullptr) *info = FrozenInfo(set);
+    const FrozenSegmentView view(&set.segments, set.ownership.get(),
                                  walks_per_node_, epsilon_);
     Status status;
     if constexpr (kIsSalsa) {
       BasicPersonalizedSalsaWalker<FrozenSegmentView, FrozenAdjacency>
-          walker(&view, pin->graph.get(), options);
+          walker(&view, set.graph.get(), options);
       status = walker.TopKAuthorities(seed, k, length, exclude_friends,
                                       rng_seed, ranked, walk_stats);
     } else {
       BasicPersonalizedPageRankWalker<FrozenSegmentView, FrozenAdjacency>
-          walker(&view, pin->graph.get(), options);
+          walker(&view, set.graph.get(), options);
       status = walker.TopK(seed, k, length, exclude_friends, rng_seed,
                            ranked, walk_stats);
-    }
-    // Drop the pin under the view mutex: the flip and the last unpin
-    // stay mutually ordered, so the chunk refcounts a dropped view
-    // releases (freeing unshared chunks) fall at deterministic points —
-    // the memory tests rely on that, and readers pay one uncontended
-    // lock per query for it.
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      pin.reset();
     }
     if (hot) om_.query_personalized->Record(obs::NowNanos() - t0);
     return status;
@@ -582,21 +493,10 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     if (batch.empty()) return;
     const bool hot = engine_->metrics_enabled();
     frozen_demand_.store(true, std::memory_order_relaxed);
-    std::shared_ptr<const FrozenViewSet> pin;
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      pin = frozen_view_;
-    }
-    FASTPPR_CHECK_MSG(pin != nullptr && pin->graph != nullptr,
-                      "no published snapshot to serve from");
-    SnapshotInfo si;
-    si.min_epoch = pin->graph->epoch();
-    si.max_epoch = pin->graph->epoch();
-    for (const auto& segs : pin->segments) {
-      si.min_epoch = std::min(si.min_epoch, segs->epoch());
-      si.max_epoch = std::max(si.max_epoch, segs->epoch());
-    }
-    const FrozenSegmentView view(&pin->segments, pin->ownership.get(),
+    const Pin pin = PinView();
+    const FrozenViewSet& set = *pin.set_;
+    const SnapshotInfo si = FrozenInfo(set);
+    const FrozenSegmentView view(&set.segments, set.ownership.get(),
                                  walks_per_node_, epsilon_);
     for (PersonalizedBatchQuery& q : batch) {
       q.snapshot = si;
@@ -609,13 +509,13 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
       }
       if constexpr (kIsSalsa) {
         BasicPersonalizedSalsaWalker<FrozenSegmentView, FrozenAdjacency>
-            walker(&view, pin->graph.get(), q.options);
+            walker(&view, set.graph.get(), q.options);
         q.status = walker.TopKAuthoritiesInto(q.seed, q.k, q.walk_length,
                                               q.exclude_friends, q.rng_seed,
                                               scratch, &q.ranked);
       } else {
         BasicPersonalizedPageRankWalker<FrozenSegmentView, FrozenAdjacency>
-            walker(&view, pin->graph.get(), q.options);
+            walker(&view, set.graph.get(), q.options);
         q.status = walker.TopKInto(q.seed, q.k, q.walk_length,
                                    q.exclude_friends, q.rng_seed, scratch,
                                    &q.ranked);
@@ -625,10 +525,6 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     }
     // One pin for the whole batch: account it to the first item's shard.
     if (hot) om_.snapshot_pins->Add(1, engine_->shard_of(batch[0].seed));
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      pin.reset();
-    }
   }
 
   /// Epoch of the currently published frozen view — the result cache's
@@ -638,31 +534,55 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   /// same-epoch insert — never a stale hit).
   uint64_t frozen_epoch() const {
     std::lock_guard<std::mutex> lock(view_mu_);
-    return frozen_view_ != nullptr && frozen_view_->graph != nullptr
-               ? frozen_view_->graph->epoch()
-               : 0;
+    return frozen_view_ != nullptr ? frozen_view_->graph->epoch() : 0;
   }
 
  private:
-  /// One published view set: per-shard frozen segments (dense owned
-  /// rows), the shared global->local map, plus the frozen adjacency —
-  /// built once per frozen publish and flipped as a single pointer — so
-  /// a reader's pin/unpin is one shared_ptr copy, not S+2 refcount
-  /// bumps inside the contended critical section.
+  /// One boundary's merged ranking counts: the S shards' counts summed
+  /// into one array, its total, and the sorted kCountPrefix prefix.
+  struct CountSnapshot {
+    uint64_t epoch = 0;
+    int64_t total = 0;
+    std::vector<int64_t> counts;
+    std::vector<CountedNode> prefix;
+  };
+
+  /// One published view set: the merged counts, per-shard frozen
+  /// segments (dense owned rows), the shared global->local map, plus the
+  /// frozen adjacency — built once per publish and flipped as a single
+  /// pointer — so a reader's pin/unpin is one shared_ptr copy, not S+3
+  /// refcount bumps inside the contended critical section.
   struct FrozenViewSet {
+    std::shared_ptr<const CountSnapshot> counts;
     std::vector<std::shared_ptr<const FrozenSegments>> segments;
     std::shared_ptr<const SegmentOwnership> ownership;
     std::shared_ptr<const FrozenAdjacency> graph;
   };
 
   /// One window's captured-but-unassembled publish payload, moved from
-  /// the boundary thread to the publisher thread.
+  /// the boundary thread to the publisher thread. A part left empty
+  /// (null `counts`, `frozen` false) is shared from the current set.
   struct PublishJob {
     uint64_t epoch = 0;
     bool full = false;
+    std::shared_ptr<CountSnapshot> counts;
+    bool frozen = false;
     std::vector<snap::CapturedRows<uint64_t>> segments;
     AdjacencyCapture adjacency;
   };
+
+  /// Audited, not assumed: min/max span the adjacency AND every segment
+  /// view, so the single-epoch contract's assertions in the tests and
+  /// bench actually bite if a publish ever flips them at different
+  /// epochs.
+  static SnapshotInfo FrozenInfo(const FrozenViewSet& set) {
+    SnapshotInfo si{set.graph->epoch(), set.graph->epoch()};
+    for (const auto& segs : set.segments) {
+      si.min_epoch = std::min(si.min_epoch, segs->epoch());
+      si.max_epoch = std::max(si.max_epoch, segs->epoch());
+    }
+    return si;
+  }
 
   /// StoreView over the pinned frozen copies, routing each node's
   /// segments to its owning shard's dense table through the shared
@@ -698,32 +618,30 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     PublishBoundary(ctx, /*full=*/false);
   }
 
-  /// One boundary's publish work on the boundary thread: seqlock count
-  /// flips (cheap, every window), then the frozen-view delta capture —
-  /// assembled inline in lockstep (demand-gated), handed to the
-  /// publisher thread otherwise.
+  /// One boundary's publish work on the boundary thread: sum the
+  /// counts (every window), then capture the frozen-view delta — demand-
+  /// gated in lockstep — and assemble inline (lockstep) or hand the job
+  /// to the publisher thread.
   void PublishBoundary(const Ctx& ctx, bool full) {
-    PublishCounts(ctx);
-    // Advance the published epoch BEFORE the frozen flip: a reader that
-    // pins a view must never observe its epoch ahead of
-    // published_epoch() (the staleness invariant the tests assert).
-    published_epoch_.store(ctx.epoch, std::memory_order_release);
-    const bool lockstep = engine_->lockstep();
-    if (lockstep && !full &&
-        !frozen_demand_.exchange(false, std::memory_order_relaxed)) {
-      // Demand-driven frozen refresh: the delta copies are paid only
-      // when a personalized read happened since the last frozen publish
-      // — a lockstep writer with no personalized readers ingests at
-      // full speed while the dirty feeds accumulate (bounded by their
-      // overflow caps). The pipelined mode publishes every boundary
-      // instead: the work rides the publisher thread, off the ingest
-      // critical path.
-      return;
-    }
     PublishJob job;
     job.epoch = ctx.epoch;
     job.full = full;
-    CaptureJob(ctx, full, &job);
+    job.counts = CaptureCounts(ctx);
+    // Advance the published epoch BEFORE the flip: a reader that pins a
+    // view must never observe its epoch ahead of published_epoch() (the
+    // staleness invariant the tests assert).
+    published_epoch_.store(ctx.epoch, std::memory_order_release);
+    const bool lockstep = engine_->lockstep();
+    // Demand-driven frozen refresh (lockstep only): the delta copies are
+    // paid only when a personalized read happened since the last frozen
+    // publish — a lockstep writer with no personalized readers flips
+    // only the counts while the dirty feeds accumulate (bounded by their
+    // overflow caps). The pipelined mode captures every boundary: the
+    // assembly rides the publisher thread, off the ingest critical path.
+    if (!lockstep || full ||
+        frozen_demand_.exchange(false, std::memory_order_relaxed)) {
+      CaptureFrozen(ctx, full, &job);
+    }
     if (lockstep) {
       AssembleAndFlip(std::move(job));
       return;
@@ -745,33 +663,33 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     }
   }
 
-  /// Publishes the seqlock count snapshots from the boundary context.
-  void PublishCounts(const Ctx& ctx) {
+  /// Sums the boundary-frozen shards' ranking counts into one fresh
+  /// array in a single pass (n·S reads, n stores). Fresh, not recycled:
+  /// pinned readers may still hold the previous arrays.
+  std::shared_ptr<CountSnapshot> CaptureCounts(const Ctx& ctx) const {
+    auto snap = std::make_shared<CountSnapshot>();
+    snap->epoch = ctx.epoch;
     const std::size_t n = engine_->num_nodes();
-    const std::size_t S = snapshots_.size();
-    FASTPPR_CHECK_MSG(S == ctx.shards.size(),
-                      "snapshot set no longer matches the engine");
-    for (std::size_t s = 0; s < S; ++s) {
-      const Engine& shard = *ctx.shards[s];
-      snapshots_[s].Publish(
-          n,
-          [&shard](std::size_t v) {
-            return shard.RankingCount(static_cast<NodeId>(v));
-          },
-          shard.RankingTotal(), ctx.epoch);
+    snap->counts.reserve(n);
+    for (NodeId v = 0; v < n; ++v) {
+      int64_t count = 0;
+      for (const Engine* shard : ctx.shards) count += shard->RankingCount(v);
+      snap->counts.push_back(count);
     }
-    if (engine_->metrics_enabled()) om_.count_publishes->Add(1);
+    for (const Engine* shard : ctx.shards) snap->total += shard->RankingTotal();
+    return snap;
   }
 
   /// Boundary-thread half of a frozen publish: reads the
   /// boundary-frozen stores and graph into a self-contained job and
   /// clears the delta feeds. Everything live is read HERE; the
   /// assembly half touches only builder/publish state.
-  void CaptureJob(const Ctx& ctx, bool full, PublishJob* job) {
+  void CaptureFrozen(const Ctx& ctx, bool full, PublishJob* job) {
     const bool hot = engine_->metrics_enabled();
     const uint64_t graph_epoch = ctx.graph->epoch();
-    job->segments.resize(snapshots_.size());
-    for (std::size_t s = 0; s < snapshots_.size(); ++s) {
+    job->frozen = true;
+    job->segments.resize(seg_builders_.size());
+    for (std::size_t s = 0; s < seg_builders_.size(); ++s) {
       auto* store = ctx.shards[s]->mutable_walk_store();
       if (hot) {
         om_.segments_dirtied->Add(store->dirty_segments().size(), s);
@@ -793,32 +711,53 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
                       "graph mutated during a snapshot capture");
   }
 
-  /// Publisher half: fold the capture into the shared chains and flip
-  /// the view pointer. Runs on the publisher thread in pipelined mode
-  /// (overlapping the next windows' ingest and repair), inline on the
-  /// boundary thread in lockstep.
+  /// Publisher half: select the count prefix, fold the capture into the
+  /// shared chains and flip the view pointer. Runs on the publisher
+  /// thread in pipelined mode (overlapping the next windows' ingest and
+  /// repair), inline on the boundary thread in lockstep.
   void AssembleAndFlip(PublishJob&& job) {
     const bool hot = engine_->metrics_enabled();
     const uint64_t t0 = hot ? obs::NowNanos() : 0;
+    // Parts the job left empty are shared from the current set (only
+    // this thread flips, so it cannot change under us).
+    Pin prev(nullptr);
+    if (job.counts == nullptr || !job.frozen) prev = PinView();
     auto fresh = std::make_shared<FrozenViewSet>();
-    fresh->segments.resize(job.segments.size());
-    for (std::size_t s = 0; s < job.segments.size(); ++s) {
-      fresh->segments[s] =
-          seg_builders_[s].Assemble(std::move(job.segments[s]), job.epoch);
+    if (job.counts != nullptr) {
+      TopCountsInto(job.counts->counts, kCountPrefix, &job.counts->prefix);
+      fresh->counts = std::move(job.counts);
+    } else {
+      fresh->counts = prev.set_->counts;
     }
-    fresh->ownership = ownership_;
-    fresh->graph = adj_builder_.Assemble(std::move(job.adjacency),
-                                         job.epoch);
+    if (job.frozen) {
+      fresh->segments.resize(job.segments.size());
+      for (std::size_t s = 0; s < job.segments.size(); ++s) {
+        fresh->segments[s] = seg_builders_[s].Assemble(
+            std::move(job.segments[s]), job.epoch);
+      }
+      fresh->ownership = ownership_;
+      fresh->graph =
+          adj_builder_.Assemble(std::move(job.adjacency), job.epoch);
+    } else {
+      fresh->segments = prev.set_->segments;
+      fresh->ownership = prev.set_->ownership;
+      fresh->graph = prev.set_->graph;
+    }
+    std::shared_ptr<const FrozenViewSet> retired;
     {
       std::lock_guard<std::mutex> lock(view_mu_);
-      frozen_view_ = std::move(fresh);
+      retired = std::exchange(frozen_view_, std::move(fresh));
     }
+    // If no reader pins it, the retired set is freed here, off the lock.
+    retired.reset();
     if (hot) {
       // "full" here means the caller forced a rebuild; per-shard
       // overflow-forced copies still count as delta publishes (the
-      // decision was the delta path's).
-      (job.full ? om_.frozen_publishes_full : om_.frozen_publishes_delta)
-          ->Add(1);
+      // decision was the delta path's). Count-only flips are neither.
+      if (job.frozen) {
+        (job.full ? om_.frozen_publishes_full : om_.frozen_publishes_delta)
+            ->Add(1);
+      }
       const uint64_t t1 = obs::NowNanos();
       om_.publish_phase->Record(t1 - t0);
       engine_->phase_tracer()->Record(engine_->publish_track(),
@@ -851,13 +790,12 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   std::size_t walks_per_node_ = 0;
   double epsilon_ = 0.0;
   std::shared_ptr<const SegmentOwnership> ownership_;
-  std::vector<SnapshotBuffer> snapshots_;
   std::mutex window_mu_;
   std::atomic<uint64_t> published_epoch_{0};
 
-  /// Personalized-read state. `view_mu_` orders only pointer pins,
-  /// unpins and flips; the builders are touched only by the boundary
-  /// thread (Capture) and the publisher thread (Assemble), whose member
+  /// Personalized-read state. `view_mu_` orders only pointer pins and
+  /// flips; the builders are touched only by the boundary thread
+  /// (Capture) and the publisher thread (Assemble), whose member
   /// footprints are disjoint.
   mutable std::mutex view_mu_;
   std::atomic<bool> frozen_demand_{false};

@@ -26,7 +26,6 @@ struct EngineMetrics {
   Counter* wal_fsyncs = nullptr;            ///< WAL fsync calls
   Counter* frozen_publishes_full = nullptr; ///< full frozen-view rebuilds
   Counter* frozen_publishes_delta = nullptr;///< delta frozen publishes
-  Counter* count_publishes = nullptr;       ///< seqlock count publishes
   Counter* snapshot_pins = nullptr;         ///< personalized view pins
                                             ///  [shard of seed]
   Counter* snapshot_refreshes = nullptr;    ///< idle-writer self-refreshes
@@ -88,7 +87,6 @@ struct EngineMetrics {
     m.frozen_publishes_full = reg->RegisterCounter("frozen_publishes_full");
     m.frozen_publishes_delta =
         reg->RegisterCounter("frozen_publishes_delta");
-    m.count_publishes = reg->RegisterCounter("count_publishes");
     m.snapshot_pins = reg->RegisterCounter("snapshot_pins", shards);
     m.snapshot_refreshes = reg->RegisterCounter("snapshot_refreshes");
     // Serving-tier outcome counters: one stripe per query class (3 =

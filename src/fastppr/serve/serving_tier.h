@@ -20,11 +20,11 @@
 //    (WalkerOptions::deadline, polled in the accumulation loops).
 //  * Degradation ladder — keyed on queue depth and deadline slack:
 //    full walk budget → reduced walk budget (length / divisor) →
-//    stale-epoch cheap-TopK fallback served from the seqlock count
-//    snapshots. Every degraded answer is labelled in the Response
-//    (degrade + snapshot epochs vs fresh_epoch), so correctness stays
-//    auditable: a degraded answer is never silently passed off as full
-//    fidelity.
+//    stale-epoch cheap-TopK fallback served from the published count
+//    prefix (the same one TopK reads). Every degraded answer is
+//    labelled in the Response (degrade + snapshot epochs vs
+//    fresh_epoch), so correctness stays auditable: a degraded answer is
+//    never silently passed off as full fidelity.
 //
 //  * Batching — within one personalized class slice a worker coalesces
 //    the requests it dequeues into a batch (serve/batcher.h) executed
@@ -78,8 +78,8 @@ inline constexpr std::size_t kNumQueryClasses = 3;
 enum class DegradeLevel : std::size_t {
   kFull = 0,         ///< full walk budget / exact snapshot read
   kReducedWalk = 1,  ///< personalized walk at a fraction of the budget
-  kStaleFallback = 2,///< cheap global-TopK answer from the (possibly
-                     ///  stale-epoch) count snapshots, no walk at all
+  kStaleFallback = 2,///< cheap global-TopK answer from the published
+                     ///  count prefix (possibly a stale epoch), no walk
 };
 
 inline const char* DegradeLevelName(DegradeLevel d) {
@@ -94,7 +94,8 @@ inline const char* DegradeLevelName(DegradeLevel d) {
 /// The tier's answer. Exactly one Response per Submit, always.
 struct Response {
   Status status;                       ///< OK, ResourceExhausted (shed),
-                                       ///  DeadlineExceeded, Unavailable
+                                       ///  DeadlineExceeded, Unavailable,
+                                       ///  InvalidArgument (node range)
   DegradeLevel degrade = DegradeLevel::kFull;
   bool degraded() const { return degrade != DegradeLevel::kFull; }
 
@@ -249,6 +250,13 @@ class ServingTier {
       RespondUnavailable(req);
       return;
     }
+    // Bad input is answered here, before it can reach a view: Score
+    // indexes the count array by req.node.
+    if (req.cls != QueryClass::kTopK &&
+        req.node >= service_->engine()->num_nodes()) {
+      RespondInvalid(req);
+      return;
+    }
     if (req.cls == QueryClass::kPersonalized &&
         options_.enable_result_cache && TryServeFromCache(req)) {
       return;
@@ -355,8 +363,9 @@ class ServingTier {
   }
 
   /// Test-only fault injection (slow shard, stalled dependency): when
-  /// armed, runs at the start of every executed request — a hook that
-  /// sleeps models a stalled shard under the walker. Not for
+  /// armed, runs at the start of every executed request, inside its
+  /// service time — a hook that sleeps models a stalled shard under the
+  /// walker, and the stall lands in Response::service_ns. Not for
   /// production paths; guarded by one relaxed atomic load when unset.
   void SetFaultHook(std::function<void(QueryClass)> hook) {
     std::lock_guard<std::mutex> lock(fault_mu_);
@@ -486,6 +495,13 @@ class ServingTier {
     }
   }
 
+  void RespondInvalid(const Request& req) {
+    Response resp;
+    resp.status = Status::InvalidArgument("node out of range");
+    Tally(kTallyFailed);
+    req.on_done(resp);
+  }
+
   void RespondUnavailable(const Request& req) {
     Response resp;
     resp.status = Status::Unavailable("shutting down");
@@ -498,13 +514,13 @@ class ServingTier {
   struct BatchAux {
     Request req;
     uint64_t queue_ns = 0;
+    uint64_t hook_ns = 0;  ///< fault-hook time, charged to service_ns
     DegradeLevel degrade = DegradeLevel::kFull;
     uint64_t fresh_epoch = 0;
   };
   using Batcher = PersonalizedBatcher<Service, BatchAux>;
 
   void WorkerLoop() {
-    ReadScratch scratch;
     Batcher batcher(options_.max_batch);
     std::size_t rotate = 0;
     for (;;) {
@@ -530,11 +546,10 @@ class ServingTier {
           if (out == DequeueOutcome::kShed) {
             RespondShed(req, 0, queue_ns);
           } else if (batch_this_class) {
-            CollectPersonalized(std::move(req), queue_ns, &scratch,
-                                &batcher);
+            CollectPersonalized(std::move(req), queue_ns, &batcher);
             if (batcher.full()) FlushBatch(&batcher);
           } else {
-            Execute(req, queue_ns, &scratch);
+            Execute(req, queue_ns);
           }
           if (options_.clock() >= slice_end) break;
         }
@@ -566,28 +581,23 @@ class ServingTier {
   /// don't walk, so there is nothing to batch; the rest stage their
   /// ladder-chosen budget for the next flush.
   void CollectPersonalized(Request req, uint64_t queue_ns,
-                           ReadScratch* scratch, Batcher* batcher) {
+                           Batcher* batcher) {
     Response resp;
     resp.queue_ns = queue_ns;
     if (req.deadline.expired()) {
       RespondDeadline(req, &resp);
       return;
     }
-    if (fault_armed_.load(std::memory_order_acquire)) {
-      std::function<void(QueryClass)> hook;
-      {
-        std::lock_guard<std::mutex> lock(fault_mu_);
-        hook = fault_hook_;
-      }
-      if (hook) hook(req.cls);
-    }
+    // A stalled shard is service time, never unaccounted time: the
+    // hook's time is added to whichever path executes the request.
+    const uint64_t hook_ns = RunFaultHook(req.cls);
     resp.fresh_epoch = service_->published_epoch();
     const std::size_t cls = static_cast<std::size_t>(req.cls);
     resp.degrade = Ladder(req, queues_[cls].size());
     if (resp.degrade == DegradeLevel::kStaleFallback) {
       const uint64_t t0 = options_.clock();
-      const Status status = ExecutePersonalized(req, scratch, &resp);
-      resp.service_ns = options_.clock() - t0;
+      const Status status = ExecutePersonalized(req, &resp);
+      resp.service_ns = hook_ns + (options_.clock() - t0);
       FinishExecuted(req, status, &resp);
       return;
     }
@@ -604,6 +614,7 @@ class ServingTier {
     item.options.deadline = req.deadline;
     BatchAux aux;
     aux.queue_ns = queue_ns;
+    aux.hook_ns = hook_ns;
     aux.degrade = resp.degrade;
     aux.fresh_epoch = resp.fresh_epoch;
     aux.req = std::move(req);
@@ -630,7 +641,7 @@ class ServingTier {
                      resp.degrade = aux.degrade;
                      resp.fresh_epoch = aux.fresh_epoch;
                      resp.snapshot = item.snapshot;
-                     resp.service_ns = item.service_ns;
+                     resp.service_ns = aux.hook_ns + item.service_ns;
                      resp.ranked = std::move(item.ranked);
                      FinishExecuted(aux.req, item.status, &resp);
                    });
@@ -657,7 +668,7 @@ class ServingTier {
     return DegradeLevel::kFull;
   }
 
-  void Execute(const Request& req, uint64_t queue_ns, ReadScratch* scratch) {
+  void Execute(const Request& req, uint64_t queue_ns) {
     const std::size_t cls = static_cast<std::size_t>(req.cls);
     Response resp;
     resp.queue_ns = queue_ns;
@@ -668,15 +679,8 @@ class ServingTier {
       RespondDeadline(req, &resp);
       return;
     }
-    if (fault_armed_.load(std::memory_order_acquire)) {
-      std::function<void(QueryClass)> hook;
-      {
-        std::lock_guard<std::mutex> lock(fault_mu_);
-        hook = fault_hook_;
-      }
-      if (hook) hook(req.cls);
-    }
-    const uint64_t t0 = options_.clock();
+    const uint64_t t0 = options_.clock();  // the hook is service time
+    RunFaultHook(req.cls);
     resp.fresh_epoch = service_->published_epoch();
     resp.degrade = req.cls == QueryClass::kPersonalized
                        ? Ladder(req, queues_[cls].size())
@@ -684,7 +688,7 @@ class ServingTier {
     Status status;
     switch (req.cls) {
       case QueryClass::kTopK: {
-        resp.topk = service_->TopKInto(req.k, scratch, &resp.snapshot);
+        resp.topk = service_->TopK(req.k, &resp.snapshot);
         status = Status::OK();
         break;
       }
@@ -694,7 +698,7 @@ class ServingTier {
         break;
       }
       case QueryClass::kPersonalized: {
-        status = ExecutePersonalized(req, scratch, &resp);
+        status = ExecutePersonalized(req, &resp);
         break;
       }
     }
@@ -732,26 +736,13 @@ class ServingTier {
   }
 
   /// Personalized walk at the ladder-chosen budget. The stale fallback
-  /// serves a global TopK from the seqlock count snapshots: no walk, no
-  /// frozen-view pin — the answer an overloaded recommender can still
-  /// afford, labelled (degrade + epochs) so it is never mistaken for a
-  /// personalized result.
-  Status ExecutePersonalized(const Request& req, ReadScratch* scratch,
-                             Response* resp) {
+  /// serves the global TopK from the published count prefix: no walk —
+  /// the answer an overloaded recommender can still afford, labelled
+  /// (degrade + epochs) so it is never mistaken for a personalized
+  /// result.
+  Status ExecutePersonalized(const Request& req, Response* resp) {
     if (resp->degrade == DegradeLevel::kStaleFallback) {
-      int64_t total = 0;
-      service_->SnapshotCountsInto(scratch, &total, &resp->snapshot);
-      TopKByCountInto(scratch->counts, req.k, &scratch->ranked);
-      resp->ranked.clear();
-      resp->ranked.reserve(scratch->ranked.size());
-      for (NodeId v : scratch->ranked) {
-        const int64_t visits = scratch->counts[v];
-        resp->ranked.push_back(ScoredNode{
-            v, visits,
-            total == 0 ? 0.0
-                       : static_cast<double>(visits) /
-                             static_cast<double>(total)});
-      }
+      resp->ranked = service_->TopKScored(req.k, &resp->snapshot);
       return Status::OK();
     }
     uint64_t length = req.walk_length;
@@ -765,6 +756,21 @@ class ServingTier {
                                       wopts, &resp->ranked,
                                       /*walk_stats=*/nullptr,
                                       &resp->snapshot);
+  }
+
+  /// Runs the test-only fault hook when armed; returns the nanoseconds
+  /// it took on the tier's clock (0 when unarmed).
+  uint64_t RunFaultHook(QueryClass cls) {
+    if (!fault_armed_.load(std::memory_order_acquire)) return 0;
+    std::function<void(QueryClass)> hook;
+    {
+      std::lock_guard<std::mutex> lock(fault_mu_);
+      hook = fault_hook_;
+    }
+    if (!hook) return 0;
+    const uint64_t t0 = options_.clock();
+    hook(cls);
+    return options_.clock() - t0;
   }
 
   void RespondDeadline(const Request& req, Response* resp) {

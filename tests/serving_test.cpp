@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include "fastppr/core/incremental_pagerank.h"
+#include "fastppr/core/incremental_salsa.h"
+#include "fastppr/core/ranking.h"
 #include "fastppr/core/ppr_walker.h"
 #include "fastppr/engine/query_service.h"
 #include "fastppr/engine/sharded_engine.h"
@@ -775,9 +777,160 @@ TEST(ServingTierTest, DequeueShedRecordsMeasuredSojourn) {
   EXPECT_EQ(shed, 1u);
 }
 
+// A stalled shard is service time. The fault hook advances the fake
+// tier clock by exactly 2 ms and nothing else moves it, so every
+// executed answer must report service_ns == 2 ms to the nanosecond — on
+// the unbatched Execute path (TopK, Score, personalized at
+// max_batch = 1), on the batched collect path (where the hook runs at
+// collect time and its time rides BatchAux into the flush), and on the
+// collect-time stale-fallback rung. Before the fix the clock started
+// after the hook and the stall surfaced as unaccounted latency.
+TEST(ServingTierTest, FaultHookStallIsChargedToServiceTimeOnBothPaths) {
+  constexpr uint64_t kStallNs = 2'000'000;
+  struct Case {
+    QueryClass cls;
+    std::size_t max_batch;
+    double fallback_depth_frac;
+    DegradeLevel expect_degrade;
+  };
+  const Case cases[] = {
+      {QueryClass::kTopK, 1, 0.85, DegradeLevel::kFull},
+      {QueryClass::kScore, 1, 0.85, DegradeLevel::kFull},
+      {QueryClass::kPersonalized, 1, 0.85, DegradeLevel::kFull},
+      {QueryClass::kPersonalized, 8, 0.85, DegradeLevel::kFull},
+      {QueryClass::kPersonalized, 8, 0.0, DegradeLevel::kStaleFallback},
+  };
+  for (const Case& c : cases) {
+    g_fake_now.store(1'000'000'000, std::memory_order_relaxed);
+    ServingTierOptions topt = SmallTierOptions();
+    topt.num_workers = 1;  // one hook at a time on the shared fake clock
+    topt.clock = &FakeNow;
+    topt.max_batch = c.max_batch;
+    topt.enable_result_cache = false;
+    topt.fallback_depth_frac = c.fallback_depth_frac;
+    TierFixture f(200, topt);
+    f.tier.SetFaultHook([](QueryClass) {
+      g_fake_now.fetch_add(kStallNs, std::memory_order_relaxed);
+    });
+    Collector col;
+    Request req;
+    req.cls = c.cls;
+    req.node = 7;
+    req.walk_length = 500;
+    req.on_done = col.Callback();
+    f.tier.Submit(std::move(req));
+    ASSERT_TRUE(col.WaitFor(1, 10'000));
+    const Response& r = col.responses[0];
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.degrade, c.expect_degrade);
+    EXPECT_EQ(r.service_ns, kStallNs)
+        << "class " << static_cast<int>(c.cls) << ", max_batch "
+        << c.max_batch;
+  }
+}
+
+// Bad input never aborts the serving process: a Score (or personalized
+// seed) past the node range resolves InvalidArgument at Submit, before
+// any view is pinned — QueryService::Score would FASTPPR_CHECK-abort on
+// it — and the tier keeps serving.
+TEST(ServingTierTest, OutOfRangeNodeResolvesInvalidArgument) {
+  const std::size_t n = 200;
+  TierFixture f(n, SmallTierOptions());
+  Collector col;
+  const NodeId bad[] = {static_cast<NodeId>(n), static_cast<NodeId>(n + 1),
+                        kInvalidNode};
+  for (NodeId node : bad) {
+    for (QueryClass cls : {QueryClass::kScore, QueryClass::kPersonalized}) {
+      Request req;
+      req.cls = cls;
+      req.node = node;
+      req.walk_length = 500;
+      req.on_done = col.Callback();
+      f.tier.Submit(std::move(req));
+    }
+  }
+  ASSERT_TRUE(col.WaitFor(6, 10'000));
+  for (const Response& r : col.responses) {
+    EXPECT_TRUE(r.status.IsInvalidArgument()) << r.status.ToString();
+    EXPECT_EQ(r.snapshot.max_epoch, 0u);  // no view was read
+    EXPECT_EQ(r.service_ns, 0u);
+  }
+  EXPECT_EQ(f.tier.outcomes().failed, 6u);
+  // The last valid node still serves.
+  Request ok;
+  ok.cls = QueryClass::kScore;
+  ok.node = static_cast<NodeId>(n - 1);
+  ok.on_done = col.Callback();
+  f.tier.Submit(std::move(ok));
+  ASSERT_TRUE(col.WaitFor(7, 10'000));
+  EXPECT_TRUE(col.responses.back().status.ok());
+  EXPECT_EQ(f.tier.outcomes().resolved(), f.tier.submitted());
+}
+
+// The stale-fallback rung reads the published count prefix: with every
+// personalized request forced onto it, the served `ranked` list —
+// nodes, visit counts and scores — equals the engine's own ranking
+// (TopKByCount over MergedRankingCounts) at the quiesced epoch, for k
+// inside the prefix and past it, PageRank and SALSA, S in {1, 4}, both
+// execution modes.
+template <typename Engine>
+void ExpectFallbackMatchesEngine(std::size_t shards, bool lockstep) {
+  const std::size_t n = 300;
+  ShardedOptions sopts{shards, 2};
+  sopts.lockstep = lockstep;
+  ShardedEngine<Engine> engine(n, TestMcOptions(), sopts);
+  QueryService<Engine> service(&engine);
+  const auto events = InsertEvents(n, 5 * n, 37);
+  ASSERT_TRUE(service.Ingest(events).ok());
+  service.Quiesce();
+  ServingTierOptions topt = SmallTierOptions();
+  topt.fallback_depth_frac = 0.0;  // every personalized answer falls back
+  ServingTier<Engine> tier(&service, topt);
+
+  const std::vector<int64_t> merged = engine.MergedRankingCounts();
+  const int64_t total = engine.MergedRankingTotal();
+  for (std::size_t k : {std::size_t{10},
+                        QueryService<Engine>::kCountPrefix + 1}) {
+    Collector col;
+    Request req;
+    req.cls = QueryClass::kPersonalized;
+    req.node = 5;
+    req.k = k;
+    req.walk_length = 500;
+    req.on_done = col.Callback();
+    tier.Submit(std::move(req));
+    ASSERT_TRUE(col.WaitFor(1, 10'000));
+    const Response& r = col.responses[0];
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.degrade, DegradeLevel::kStaleFallback);
+    EXPECT_EQ(r.snapshot.min_epoch, engine.windows_applied());
+    EXPECT_EQ(r.snapshot.max_epoch, engine.windows_applied());
+    const std::vector<NodeId> expect = TopKByCount(merged, k);
+    ASSERT_EQ(r.ranked.size(), expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      EXPECT_EQ(r.ranked[i].node, expect[i]);
+      EXPECT_EQ(r.ranked[i].visits, merged[expect[i]]);
+      EXPECT_DOUBLE_EQ(r.ranked[i].score,
+                       static_cast<double>(merged[expect[i]]) /
+                           static_cast<double>(total));
+    }
+  }
+}
+
+TEST(ServingTierTest, StaleFallbackEqualsEngineRanking) {
+  for (std::size_t shards : {1, 4}) {
+    for (bool lockstep : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "S=" << shards << " lockstep=" << lockstep);
+      ExpectFallbackMatchesEngine<IncrementalPageRank>(shards, lockstep);
+      ExpectFallbackMatchesEngine<IncrementalSalsa>(shards, lockstep);
+    }
+  }
+}
+
 // The TSan stress (runs in the TSan CI job): concurrent admission,
 // shedding and deadline expiry racing the frozen-view publish rotation
-// — ingestion keeps publishing (count seqlocks + frozen segment views)
+// — ingestion keeps publishing (merged counts + frozen segment views)
 // while submitter threads pour mixed traffic with tight deadlines
 // through the tier.
 TEST(ServingTierTest, ConcurrentAdmissionRacingPublishRotation) {

@@ -6,8 +6,11 @@
 //    shard's walk store;
 //  * shared-graph invariants — all shards read one epoch-versioned
 //    Social Store, and the epoch only moves in ingest phases;
-//  * the seqlock snapshot buffers stay coherent under concurrent
-//    reader/writer load;
+//  * TopK/Score served from the published view set equal the engine's
+//    own ranking at every quiesced boundary (TopKByCount over
+//    MergedRankingCounts — PageRank and SALSA, S in {1, 4}, both
+//    modes), and every one of those reads is single-epoch under
+//    concurrent ingestion;
 //  * personalized queries through the frozen snapshot views match the
 //    flat walker bit for bit at every frozen epoch, and run concurrently
 //    with live ingestion (the PR 4 segment-snapshot serving path; this
@@ -20,11 +23,14 @@
 //    mid-pipeline durability quiesce + bit-identical Recover (the
 //    `*Pipelined*` filter the CI TSan job runs at FASTPPR_STRESS_THREADS).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <ostream>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,6 +39,7 @@
 #include "fastppr/core/incremental_pagerank.h"
 #include "fastppr/core/incremental_salsa.h"
 #include "fastppr/core/ppr_walker.h"
+#include "fastppr/core/ranking.h"
 #include "fastppr/core/salsa_walker.h"
 #include "fastppr/engine/query_service.h"
 #include "fastppr/engine/sharded_engine.h"
@@ -353,6 +360,9 @@ TEST(QueryServiceTest, SnapshotsMatchEngineAfterIngest) {
     ASSERT_TRUE(service.Ingest(w).ok());
   });
   EXPECT_EQ(service.published_epoch(), engine.windows_applied());
+  // Count reads trail the boundary by the publish queue, exactly like
+  // personalized reads: wait for the flip.
+  service.Quiesce();
 
   int64_t total = 0;
   SnapshotInfo info;
@@ -385,13 +395,12 @@ TEST(QueryServiceTest, ConcurrentReadersSeeCoherentSnapshots) {
       SnapshotInfo info;
       const std::vector<int64_t> snap =
           service.SnapshotCounts(&total, &info);
-      // Each shard's (counts, total) pair comes from one coherent
-      // buffer, so the merged sum must always balance — even while the
-      // writer publishes between the per-shard reads.
+      // The counts and their total come from one published set, so the
+      // sum must always balance — even while the writer publishes.
       int64_t sum = 0;
       for (int64_t c : snap) sum += c;
       ASSERT_EQ(sum, total);
-      ASSERT_LE(info.min_epoch, info.max_epoch);
+      ASSERT_EQ(info.min_epoch, info.max_epoch);
       const double score = service.Score(static_cast<NodeId>(
           reads.load(std::memory_order_relaxed) % n));
       ASSERT_GE(score, 0.0);
@@ -419,6 +428,7 @@ TEST(QueryServiceTest, ConcurrentReadersSeeCoherentSnapshots) {
   engine.CheckConsistency();
 
   // Quiescent state: snapshots equal the engine.
+  service.Quiesce();
   EXPECT_EQ(service.SnapshotCounts(), engine.MergedRankingCounts());
 }
 
@@ -465,31 +475,172 @@ TEST(QueryServiceTest, PersonalizedTopKMatchesFlatWalkerAtOneShard) {
   EXPECT_EQ(sharded_walk.segments_used, flat_walk.segments_used);
 }
 
-TEST(QueryServiceTest, ScratchReadsMatchAllocatingReads) {
-  const std::size_t n = 130;
-  const auto events = MixedStream(n, 19, 0.15);
-  ShardedEngine<IncrementalPageRank> engine(n, Opts(2, 0.2, 21),
-                                            ShardedOptions{3, 2});
-  QueryService<IncrementalPageRank> service(&engine);
-  ASSERT_TRUE(service.Ingest(events).ok());
-
-  ReadScratch scratch;
-  int64_t total_into = 0;
-  int64_t total_alloc = 0;
-  EXPECT_EQ(service.SnapshotCountsInto(&scratch, &total_into),
-            service.SnapshotCounts(&total_alloc));
-  EXPECT_EQ(total_into, total_alloc);
-  EXPECT_EQ(service.TopKInto(10, &scratch), service.TopK(10));
-
-  // Steady state: a warm scratch is never reallocated (the
-  // allocation-free read-path contract).
-  const int64_t* counts_data = scratch.counts.data();
-  const NodeId* ranked_data = scratch.ranked.data();
-  for (int round = 0; round < 3; ++round) {
-    service.TopKInto(10, &scratch);
-    EXPECT_EQ(scratch.counts.data(), counts_data);
-    EXPECT_EQ(scratch.ranked.data(), ranked_data);
+/// The equivalence oracle for the served count reads at a quiesced
+/// boundary: TopK (prefix copies, the prefix edge and selections past
+/// it), TopKScored (the serving tier's stale-fallback list, scores
+/// included) and Score for every node equal the engine's own ranking —
+/// TopKByCount's independent partial_sort over MergedRankingCounts —
+/// and every answer is stamped with the boundary's single epoch.
+template <typename Engine>
+void ExpectServedReadsMatchEngine(const QueryService<Engine>& service,
+                                  const ShardedEngine<Engine>& engine) {
+  const std::vector<int64_t> merged = engine.MergedRankingCounts();
+  const int64_t total = engine.MergedRankingTotal();
+  const uint64_t epoch = engine.windows_applied();
+  const std::size_t n = merged.size();
+  const std::size_t prefix = QueryService<Engine>::kCountPrefix;
+  ASSERT_GT(n, prefix + 1) << "the oracle must reach past the prefix";
+  auto expect_epoch = [epoch](const SnapshotInfo& info) {
+    EXPECT_EQ(info.min_epoch, epoch);
+    EXPECT_EQ(info.max_epoch, epoch);
+  };
+  for (std::size_t k : {std::size_t{1}, std::size_t{10}, prefix,
+                        prefix + 1, n}) {
+    const std::vector<NodeId> expect = TopKByCount(merged, k);
+    SnapshotInfo info;
+    EXPECT_EQ(service.TopK(k, &info), expect) << "k=" << k;
+    expect_epoch(info);
+    const std::vector<ScoredNode> scored = service.TopKScored(k, &info);
+    expect_epoch(info);
+    ASSERT_EQ(scored.size(), expect.size()) << "k=" << k;
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      EXPECT_EQ(scored[i].node, expect[i]);
+      EXPECT_EQ(scored[i].visits, merged[expect[i]]);
+      EXPECT_DOUBLE_EQ(scored[i].score,
+                       static_cast<double>(merged[expect[i]]) /
+                           static_cast<double>(total));
+    }
   }
+  for (NodeId v = 0; v < n; ++v) {
+    SnapshotInfo info;
+    EXPECT_DOUBLE_EQ(service.Score(v, &info),
+                     static_cast<double>(merged[v]) /
+                         static_cast<double>(total))
+        << "node " << v;
+    expect_epoch(info);
+  }
+}
+
+struct ReadPathParam {
+  std::size_t shards;
+  bool lockstep;
+};
+
+void PrintTo(const ReadPathParam& p, std::ostream* os) {
+  *os << "S=" << p.shards << (p.lockstep ? " lockstep" : " pipelined");
+}
+
+class ServedReadEquivalenceTest
+    : public ::testing::TestWithParam<ReadPathParam> {
+ protected:
+  template <typename Engine>
+  void Run() {
+    const std::size_t n = 300;
+    const auto events = MixedStream(n, 71, 0.2);
+    ShardedOptions sopts{GetParam().shards, 2};
+    sopts.lockstep = GetParam().lockstep;
+    ShardedEngine<Engine> engine(n, Opts(3, 0.2, 29), sopts);
+    QueryService<Engine> service(&engine);
+    ExpectServedReadsMatchEngine(service, engine);
+    for (std::size_t i = 0; i < events.size(); i += 173) {
+      const std::size_t hi = std::min(events.size(), i + 173);
+      ASSERT_TRUE(service
+                      .Ingest(std::span<const EdgeEvent>(events.data() + i,
+                                                         hi - i))
+                      .ok());
+      service.Quiesce();
+      ExpectServedReadsMatchEngine(service, engine);
+    }
+  }
+};
+
+TEST_P(ServedReadEquivalenceTest, PageRank) { Run<IncrementalPageRank>(); }
+TEST_P(ServedReadEquivalenceTest, Salsa) { Run<IncrementalSalsa>(); }
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardsAndModes, ServedReadEquivalenceTest,
+    ::testing::Values(ReadPathParam{1, false}, ReadPathParam{1, true},
+                      ReadPathParam{4, false}, ReadPathParam{4, true}),
+    [](const ::testing::TestParamInfo<ReadPathParam>& info) {
+      return "S" + std::to_string(info.param.shards) +
+             (info.param.lockstep ? "Lockstep" : "Pipelined");
+    });
+
+/// Count reads under live ingestion: every TopK/TopKScored/Score answer
+/// is single-epoch, never ahead of published_epoch(), and never older
+/// than an answer the same reader already saw; a pinned set's counts,
+/// total and prefix all come from one boundary. The TSan CI job runs
+/// this binary, and its `*Pipelined*` step runs this test again at
+/// FASTPPR_STRESS_THREADS readers.
+template <typename Engine>
+void CountReadsSingleEpochUnderIngest(uint64_t seed) {
+  const std::size_t n = 200;
+  const auto events = MixedStream(n, seed, 0.2);
+  std::size_t readers = 2;
+  if (const char* env = std::getenv("FASTPPR_STRESS_THREADS")) {
+    readers = std::max<std::size_t>(1, std::atoi(env));
+  }
+  ShardedEngine<Engine> engine(n, Opts(2, 0.25, seed), ShardedOptions{4, 2});
+  QueryService<Engine> service(&engine);
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> reads{0};
+  auto reader = [&](uint64_t salt) {
+    uint64_t last_epoch = 0;
+    auto check = [&](const SnapshotInfo& info) {
+      EXPECT_EQ(info.min_epoch, info.max_epoch);
+      EXPECT_LE(info.max_epoch, service.published_epoch());
+      EXPECT_GE(info.min_epoch, last_epoch);
+      last_epoch = info.max_epoch;
+    };
+    for (uint64_t q = 0; !done.load(std::memory_order_acquire); ++q) {
+      SnapshotInfo info;
+      EXPECT_EQ(service.TopK(10, &info).size(), 10u);
+      check(info);
+      EXPECT_EQ(service.TopKScored(n, &info).size(), n);
+      check(info);
+      const double score =
+          service.Score(static_cast<NodeId>((salt + q * 7) % n), &info);
+      EXPECT_GE(score, 0.0);
+      EXPECT_LE(score, 1.0);
+      check(info);
+      {
+        const auto pin = service.PinView();
+        int64_t sum = 0;
+        for (int64_t c : pin.counts()) sum += c;
+        EXPECT_EQ(sum, pin.total());
+        for (const CountedNode& c : pin.prefix()) {
+          EXPECT_EQ(pin.counts()[c.node], c.count);
+        }
+        check(pin.info());
+      }
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::vector<std::thread> pool;
+  for (std::size_t r = 0; r < readers; ++r) {
+    pool.emplace_back(reader, 3 + 17 * r);
+  }
+  for (std::size_t i = 0; i < events.size(); i += 24) {
+    const std::size_t hi = std::min(events.size(), i + 24);
+    ASSERT_TRUE(service
+                    .Ingest(std::span<const EdgeEvent>(events.data() + i,
+                                                       hi - i))
+                    .ok());
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : pool) t.join();
+  EXPECT_GT(reads.load(), 0u);
+  service.Quiesce();
+  ExpectServedReadsMatchEngine(service, engine);
+}
+
+TEST(QueryServiceTest, PipelinedCountReadsSingleEpochUnderIngest) {
+  CountReadsSingleEpochUnderIngest<IncrementalPageRank>(97);
+}
+
+TEST(QueryServiceTest, PipelinedSalsaCountReadsSingleEpochUnderIngest) {
+  CountReadsSingleEpochUnderIngest<IncrementalSalsa>(101);
 }
 
 TEST(QueryServiceTest, PersonalizedReadAtFrozenEpochMatchesFlatEngine) {

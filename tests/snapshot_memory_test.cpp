@@ -23,7 +23,11 @@
 //    moment its last pin drops — the chunk shared_ptr use_count is the
 //    refcount under test. The churn-rotation test doubles as the ASan
 //    probe for use-after-free across publish rotation.
+//  * The query service's published view set carries the merged count
+//    array: a retired set's array stays readable while pinned and is
+//    freed exactly at its LAST unpin (raw live-byte counters again).
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -34,6 +38,7 @@
 #include <gtest/gtest.h>
 
 #include "fastppr/core/incremental_pagerank.h"
+#include "fastppr/engine/query_service.h"
 #include "fastppr/engine/sharded_engine.h"
 #include "fastppr/graph/digraph.h"
 #include "fastppr/graph/generators.h"
@@ -503,6 +508,83 @@ TEST(SharedSnapshotTest, PublishRotationUnderChurnStaysCorrect) {
     const auto full = FullPublish(&fresh, *store, w);
     ExpectSameContent(*pinned.back(), *full);
   }
+}
+
+TEST(SharedSnapshotTest, RetiredCountArrayFreedAtLastUnpin) {
+  // Publish rotation through the query service: a sliding window of
+  // pinned view sets (as concurrent readers would hold) survives churn
+  // windows that retire them, each keeps serving the counts it was
+  // published with, and a retired set's count array — n int64s, the
+  // dominant allocation of a set — is released exactly when its last
+  // pin drops, not at its retirement and not at the first unpin.
+  const std::size_t n = 4000;
+  const auto edges = PowerLawEdges(n, 6, 61);
+  MonteCarloOptions mc;
+  mc.walks_per_node = 3;
+  mc.epsilon = 0.2;
+  mc.seed = 67;
+  ShardedEngine<IncrementalPageRank> engine(n, mc, ShardedOptions{2, 1});
+  std::vector<EdgeEvent> inserts;
+  for (const Edge& e : edges) {
+    inserts.push_back(EdgeEvent{EdgeEvent::Kind::kInsert, e});
+  }
+  ASSERT_TRUE(engine.ApplyEvents(inserts).ok());
+  using Service = QueryService<IncrementalPageRank>;
+  Service service(&engine);
+  const std::int64_t array_bytes =
+      static_cast<std::int64_t>(n * sizeof(int64_t));
+
+  struct Pinned {
+    Service::Pin pin;
+    std::vector<int64_t> counts_at_pin;
+  };
+  std::vector<Pinned> pinned;
+  for (uint64_t w = 1; w <= 12; ++w) {
+    {
+      Service::Pin pin = service.PinView();
+      std::vector<int64_t> copy(pin.counts().begin(), pin.counts().end());
+      pinned.push_back(Pinned{std::move(pin), std::move(copy)});
+    }
+    std::vector<EdgeEvent> window;
+    for (std::size_t i = w % 5; i < edges.size(); i += 5) {
+      window.push_back(EdgeEvent{EdgeEvent::Kind::kDelete, edges[i]});
+    }
+    for (std::size_t i = w % 5; i < edges.size(); i += 5) {
+      window.push_back(EdgeEvent{EdgeEvent::Kind::kInsert, edges[i]});
+    }
+    ASSERT_TRUE(service.Ingest(window).ok());
+    service.Quiesce();
+    for (const Pinned& p : pinned) {
+      ASSERT_TRUE(std::equal(p.pin.counts().begin(), p.pin.counts().end(),
+                             p.counts_at_pin.begin()))
+          << "a pinned, retired set changed under its reader";
+    }
+    if (pinned.size() > 3) pinned.erase(pinned.begin());
+  }
+
+  // Two pins on one retired set: the first unpin frees nothing, the
+  // last frees (at least) its count array.
+  service.Quiesce();
+  Service::Pin first = service.PinView();
+  Service::Pin second = service.PinView();
+  const uint64_t retired_epoch = first.epoch();
+  ASSERT_TRUE(service.Ingest(std::vector<EdgeEvent>{EdgeEvent{
+                                 EdgeEvent::Kind::kDelete, edges[0]}})
+                  .ok());
+  service.Quiesce();
+  ASSERT_GT(service.PinView().epoch(), retired_epoch);
+  const std::int64_t before_first =
+      g_live_bytes.load(std::memory_order_relaxed);
+  { Service::Pin drop = std::move(first); }
+  const std::int64_t after_first =
+      g_live_bytes.load(std::memory_order_relaxed);
+  EXPECT_EQ(after_first, before_first)
+      << "the first of two unpins released memory";
+  { Service::Pin drop = std::move(second); }
+  const std::int64_t after_last =
+      g_live_bytes.load(std::memory_order_relaxed);
+  EXPECT_GE(after_first - after_last, array_bytes)
+      << "the retired set's count array was not freed at its last unpin";
 }
 
 }  // namespace
