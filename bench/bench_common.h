@@ -12,7 +12,6 @@
 #include <fstream>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -183,14 +182,12 @@ inline std::vector<uint64_t> PoissonArrivalScheduleNs(std::size_t count,
 /// streams `edges` (as insertions) through a fresh walk store over an
 /// initially empty n-node graph in `batch`-sized windows (batch <= 1 is
 /// the classic one-event-at-a-time path) and returns events/sec. Drives
-/// the store directly so before/after layout comparisons isolate storage
-/// effects. `Store` is WalkStore, SalsaWalkStore, or a frozen
-/// bench/legacy layout (which predates the batched API: batch > 1
-/// aborts). When `stats_out` is non-null and the store reports
-/// WalkUpdateStats, the accumulated stats of the whole stream are
-/// returned through it. When `per_batch` is non-null, each batch's
-/// wall duration is recorded into it (nanoseconds; batch > 1 only —
-/// per-event timing would dominate the one-at-a-time path it measures).
+/// the store directly so layout comparisons isolate storage effects.
+/// `Store` is WalkStore or SalsaWalkStore. When `stats_out` is non-null,
+/// the accumulated stats of the whole stream are returned through it.
+/// When `per_batch` is non-null, each batch's wall duration is recorded
+/// into it (nanoseconds; batch > 1 only — per-event timing would
+/// dominate the one-at-a-time path it measures).
 template <typename Store>
 double MeasureIngestThroughput(std::size_t n, std::size_t R, double eps,
                                const std::vector<Edge>& edges,
@@ -203,25 +200,13 @@ double MeasureIngestThroughput(std::size_t n, std::size_t R, double eps,
   store.Init(g, R, eps, store_seed);
   Rng rng(rng_seed);
   WalkUpdateStats stats;
-  constexpr bool kHasStats = std::is_same_v<
-      decltype(std::declval<Store&>().OnEdgeInserted(
-          std::declval<const DiGraph&>(), NodeId{0}, NodeId{0},
-          static_cast<Rng*>(nullptr))),
-      WalkUpdateStats>;
   WallTimer timer;
   if (batch <= 1) {
     for (const Edge& e : edges) {
       if (!g.AddEdge(e.src, e.dst).ok()) std::abort();
-      if constexpr (kHasStats) {
-        stats.Accumulate(store.OnEdgeInserted(g, e.src, e.dst, &rng));
-      } else {
-        store.OnEdgeInserted(g, e.src, e.dst, &rng);
-      }
+      stats.Accumulate(store.OnEdgeInserted(g, e.src, e.dst, &rng));
     }
-  } else if constexpr (requires {
-                         store.OnEdgesInserted(
-                             g, std::span<const Edge>{}, &rng);
-                       }) {
+  } else {
     for (std::size_t lo = 0; lo < edges.size(); lo += batch) {
       const std::size_t hi = std::min(edges.size(), lo + batch);
       const uint64_t t0 = per_batch != nullptr ? obs::NowNanos() : 0;
@@ -232,8 +217,6 @@ double MeasureIngestThroughput(std::size_t n, std::size_t R, double eps,
           g, std::span<const Edge>(edges.data() + lo, hi - lo), &rng));
       if (per_batch != nullptr) per_batch->Record(obs::NowNanos() - t0);
     }
-  } else {
-    std::abort();  // frozen legacy layouts predate the batched API
   }
   const double events_per_sec =
       static_cast<double>(edges.size()) / timer.ElapsedSeconds();

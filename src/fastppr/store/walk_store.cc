@@ -6,9 +6,11 @@
 
 namespace fastppr {
 
-void WalkStore::Init(const DiGraph& g, std::size_t walks_per_node,
-                     double epsilon, uint64_t seed, uint32_t shard_index,
-                     uint32_t shard_count) {
+template <typename Kind>
+void BasicWalkStore<Kind>::Init(const DiGraph& g,
+                                std::size_t walks_per_node, double epsilon,
+                                uint64_t seed, uint32_t shard_index,
+                                uint32_t shard_count) {
   FASTPPR_CHECK(walks_per_node >= 1);
   FASTPPR_CHECK(epsilon > 0.0 && epsilon < 1.0);
   FASTPPR_CHECK(shard_count >= 1 && shard_index < shard_count);
@@ -19,8 +21,15 @@ void WalkStore::Init(const DiGraph& g, std::size_t walks_per_node,
   shard_count_ = shard_count;
 
   const std::size_t n = g.num_nodes();
-  const std::size_t num_segs = n * walks_per_node;
+  const std::size_t spn = segments_per_node();
+  const std::size_t num_segs = n * spn;
   FASTPPR_CHECK(num_segs < slab::kHiLimit);
+  if constexpr (kDirs == 2) {
+    seg_fwd_.assign(num_segs, 0);
+    for (std::size_t seg = 0; seg < num_segs; ++seg) {
+      seg_fwd_[seg] = (seg % spn) < walks_per_node ? 1 : 0;
+    }
+  }
 
   // Phase 1: simulate every owned segment into flat scratch (unowned
   // sources keep zero-length rows). Laying the arena out afterwards with
@@ -28,7 +37,7 @@ void WalkStore::Init(const DiGraph& g, std::size_t walks_per_node,
   // and no dead space.
   std::vector<NodeId> nodes;
   nodes.reserve(static_cast<std::size_t>(
-      static_cast<double>(num_segs) / epsilon * 1.1 /
+      static_cast<double>(num_segs * kDirs) / epsilon * 1.1 /
           static_cast<double>(shard_count)) + 16);
   std::vector<uint32_t> lengths(num_segs, 0);
   std::vector<uint8_t> ends(num_segs,
@@ -37,34 +46,28 @@ void WalkStore::Init(const DiGraph& g, std::size_t walks_per_node,
   for (NodeId u = 0; u < n; ++u) {
     if (!OwnsSource(u)) continue;
     ++owned_sources_;
-    for (std::size_t k = 0; k < walks_per_node; ++k) {
+    for (std::size_t k = 0; k < spn; ++k) {
       const uint64_t seg = SegId(u, k);
-      NodeId cur = u;
-      nodes.push_back(cur);
+      nodes.push_back(u);
       uint32_t len = 1;
-      while (true) {
-        if (rng_.Bernoulli(epsilon_)) {
-          ends[seg] = static_cast<uint8_t>(EndReason::kReset);
-          break;
-        }
-        if (g.OutDegree(cur) == 0) {
-          ends[seg] = static_cast<uint8_t>(EndReason::kDangling);
-          break;
-        }
-        cur = g.RandomOutNeighbor(cur, &rng_);
-        nodes.push_back(cur);
-        ++len;
-      }
+      ends[seg] = Walk(g, u, Dir(seg, 0), kInvalidNode, &rng_,
+                       [&](NodeId v) {
+                         nodes.push_back(v);
+                         ++len;
+                       });
       lengths[seg] = len;
     }
   }
   BuildFromFlatPaths(n, nodes, lengths, ends);
 }
 
-Status WalkStore::InitFromSegments(
+template <typename Kind>
+Status BasicWalkStore<Kind>::InitFromSegments(
     const DiGraph& g, std::size_t walks_per_node, double epsilon,
     uint64_t seed, const std::vector<std::vector<NodeId>>& paths,
-    const std::vector<EndReason>& ends) {
+    const std::vector<EndReason>& ends)
+  requires kIsPageRank
+{
   if (walks_per_node < 1 || epsilon <= 0.0 || epsilon >= 1.0) {
     return Status::InvalidArgument("bad walk-store parameters");
   }
@@ -115,31 +118,41 @@ Status WalkStore::InitFromSegments(
   return Status::OK();
 }
 
-void WalkStore::BuildFromFlatPaths(std::size_t n,
-                                   const std::vector<NodeId>& nodes,
-                                   const std::vector<uint32_t>& lengths,
-                                   const std::vector<uint8_t>& ends) {
+template <typename Kind>
+void BasicWalkStore<Kind>::BuildFromFlatPaths(
+    std::size_t n, const std::vector<NodeId>& nodes,
+    const std::vector<uint32_t>& lengths, const std::vector<uint8_t>& ends) {
   const std::size_t num_segs = lengths.size();
   seg_end_ = ends;
-  visit_count_.assign(n, 0);
-  total_visits_ = 0;
+  for (uint32_t d = 0; d < kDirs; ++d) {
+    visits_[d].assign(n, 0);
+    totals_[d] = 0;
+  }
 
   // Count exact per-node index rows so the pools are laid out dense.
-  std::vector<uint32_t> step_count(n, 0);
-  std::vector<uint32_t> dang_count(n, 0);
+  std::array<std::vector<uint32_t>, kDirs> step_count;
+  std::array<std::vector<uint32_t>, kDirs> dang_count;
+  for (uint32_t d = 0; d < kDirs; ++d) {
+    step_count[d].assign(n, 0);
+    dang_count[d].assign(n, 0);
+  }
   {
     std::size_t at = 0;
     for (std::size_t seg = 0; seg < num_segs; ++seg) {
       const uint32_t len = lengths[seg];
-      for (uint32_t p = 0; p + 1 < len; ++p) ++step_count[nodes[at + p]];
-      if (static_cast<EndReason>(ends[seg]) == EndReason::kDangling) {
-        ++dang_count[nodes[at + len - 1]];
+      for (uint32_t p = 0; p + 1 < len; ++p) {
+        ++step_count[Dir(seg, p)][nodes[at + p]];
+      }
+      if (ends[seg] != static_cast<uint8_t>(EndReason::kReset)) {
+        ++dang_count[Dir(seg, len - 1)][nodes[at + len - 1]];
       }
       at += len;
     }
   }
-  steps_.ResetWithCapacities(step_count, /*headroom=*/true);
-  dangling_.ResetWithCapacities(dang_count, /*headroom=*/true);
+  for (uint32_t d = 0; d < kDirs; ++d) {
+    steps_[d].ResetWithCapacities(step_count[d], /*headroom=*/true);
+    dangling_[d].ResetWithCapacities(dang_count[d], /*headroom=*/true);
+  }
   paths_.ResetWithCapacities(lengths, /*headroom=*/true);
 
   std::size_t at = 0;
@@ -149,11 +162,12 @@ void WalkStore::BuildFromFlatPaths(std::size_t n,
     for (uint32_t p = 0; p < len; ++p) {
       const NodeId v = nodes[at + p];
       paths_.PushBack(seg, slab::Pack(v, kNoSlot));
-      ++visit_count_[v];
-      ++total_visits_;
+      const uint32_t d = Dir(seg, p);
+      ++visits_[d][v];
+      ++totals_[d];
     }
     for (uint32_t p = 0; p + 1 < len; ++p) RegisterStep(seg, p);
-    if (static_cast<EndReason>(ends[seg]) == EndReason::kDangling) {
+    if (ends[seg] != static_cast<uint8_t>(EndReason::kReset)) {
       RegisterDangling(seg, len - 1);
     }
     at += len;
@@ -163,54 +177,22 @@ void WalkStore::BuildFromFlatPaths(std::size_t n,
   dirty_.ResetCap(slab::DirtyCapForOwnedRows(paths_));
 }
 
-double WalkStore::Estimate(NodeId v) const {
-  double denom = static_cast<double>(num_nodes()) *
-                 static_cast<double>(walks_per_node_) / epsilon_;
-  return static_cast<double>(visit_count_[v]) / denom;
-}
-
-double WalkStore::NormalizedEstimate(NodeId v) const {
-  if (total_visits_ == 0) return 0.0;
-  return static_cast<double>(visit_count_[v]) /
-         static_cast<double>(total_visits_);
-}
-
-std::vector<double> WalkStore::NormalizedEstimates() const {
-  std::vector<double> out(num_nodes());
-  for (NodeId v = 0; v < out.size(); ++v) out[v] = NormalizedEstimate(v);
-  return out;
-}
-
-void WalkStore::RegisterStep(uint64_t seg, uint32_t pos) {
-  const NodeId node = PathNode(seg, pos);
-  const uint32_t slot = steps_.PushBack(node, slab::Pack(seg, pos));
+template <typename Kind>
+void BasicWalkStore<Kind>::Register(slab::SlabPool* pool, uint64_t seg,
+                                    uint32_t pos) {
+  const uint32_t slot =
+      pool->PushBack(PathNode(seg, pos), slab::Pack(seg, pos));
   FASTPPR_CHECK(slot < kNoSlot);
   SetPathSlot(seg, pos, slot);
 }
 
-void WalkStore::UnregisterStep(uint64_t seg, uint32_t pos) {
-  const NodeId node = PathNode(seg, pos);
-  RemoveIndexAt(&steps_, node, PathSlot(seg, pos), seg, pos);
-  SetPathSlot(seg, pos, kNoSlot);
-}
-
-void WalkStore::RegisterDangling(uint64_t seg, uint32_t pos) {
-  const NodeId node = PathNode(seg, pos);
-  const uint32_t slot = dangling_.PushBack(node, slab::Pack(seg, pos));
-  FASTPPR_CHECK(slot < kNoSlot);
-  SetPathSlot(seg, pos, slot);
-}
-
-void WalkStore::UnregisterDangling(uint64_t seg, uint32_t pos) {
-  const NodeId node = PathNode(seg, pos);
-  RemoveIndexAt(&dangling_, node, PathSlot(seg, pos), seg, pos);
-  SetPathSlot(seg, pos, kNoSlot);
-}
-
-void WalkStore::TruncateAfter(uint64_t seg, uint32_t keep_pos) {
+template <typename Kind>
+void BasicWalkStore<Kind>::TruncateAfter(uint64_t seg, uint32_t keep_pos) {
   const uint32_t len = PathLen(seg);
   FASTPPR_CHECK(keep_pos < len);
   const uint32_t last = len - 1;
+  const bool dangling_tail = End(seg) != EndReason::kReset;
+  std::array<int64_t, kDirs> dropped{};
   // Entries are re-read each iteration (not snapshotted): a swap-remove
   // fixup may retarget the slot field of a doomed entry we have not
   // reached yet. Slot fields of doomed entries are never cleared — the
@@ -219,302 +201,283 @@ void WalkStore::TruncateAfter(uint64_t seg, uint32_t keep_pos) {
     const uint64_t word = paths_.Get(seg, q);
     const NodeId node = static_cast<NodeId>(slab::Hi(word));
     const uint32_t slot = slab::Lo(word);
-    if (q == last) {
-      // Terminal entry: in the dangling list or nowhere.
-      if (End(seg) == EndReason::kDangling) {
-        RemoveIndexAt(&dangling_, node, slot, seg, q);
-      }
-    } else {
-      RemoveIndexAt(&steps_, node, slot, seg, q);
+    const uint32_t d = Dir(seg, q);
+    if (q != last) {
+      slab::RemoveIndexEntry(&steps_[d], &paths_, node, slot, seg, q);
+    } else if (dangling_tail) {
+      // Terminal entry: in its direction's dangling list or nowhere.
+      slab::RemoveIndexEntry(&dangling_[d], &paths_, node, slot, seg, q);
     }
-    --visit_count_[node];
+    --visits_[d][node];
+    ++dropped[d];
   }
-  total_visits_ -= last - keep_pos;
+  for (uint32_t d = 0; d < kDirs; ++d) totals_[d] -= dropped[d];
   paths_.Truncate(seg, keep_pos + 1);
 }
 
-void WalkStore::ResetSegmentToSource(uint64_t seg) {
+template <typename Kind>
+void BasicWalkStore<Kind>::ResetSegmentToSource(uint64_t seg) {
   const bool was_multi = PathLen(seg) > 1;
   TruncateAfter(seg, 0);
   if (was_multi) {
     UnregisterStep(seg, 0);
-  } else if (End(seg) == EndReason::kDangling) {
+  } else if (End(seg) != EndReason::kReset) {
     UnregisterDangling(seg, 0);
   }
   // A reset-terminal singleton already has a pending (kNoSlot) tail.
 }
 
-void WalkStore::FinishWalk(uint64_t seg, uint32_t start, bool dangling) {
+template <typename Kind>
+void BasicWalkStore<Kind>::FinishWalk(uint64_t seg, uint32_t start,
+                                      uint8_t end_reason) {
   const uint32_t end = PathLen(seg);
-  seg_end_[seg] = static_cast<uint8_t>(dangling ? EndReason::kDangling
-                                                : EndReason::kReset);
+  seg_end_[seg] = end_reason;
   for (uint32_t p = start; p + 1 < end; ++p) RegisterStep(seg, p);
+  std::array<int64_t, kDirs> added{};
   for (uint32_t p = start + 1; p < end; ++p) {
-    ++visit_count_[PathNode(seg, p)];
+    const uint32_t d = Dir(seg, p);
+    ++visits_[d][PathNode(seg, p)];
+    ++added[d];
   }
-  total_visits_ += end - 1 - start;
-  if (dangling) RegisterDangling(seg, end - 1);
+  for (uint32_t d = 0; d < kDirs; ++d) totals_[d] += added[d];
+  if (end_reason != static_cast<uint8_t>(EndReason::kReset)) {
+    RegisterDangling(seg, end - 1);
+  }
   // A reset tail keeps its pending kNoSlot slot.
 }
 
-uint64_t WalkStore::ExtendPendingWalks(const DiGraph& g, Rng* rng) {
+template <typename Kind>
+uint64_t BasicWalkStore<Kind>::ExtendPendingWalks(const DiGraph& g,
+                                                  Rng* rng) {
   // Walks are independent; each is simulated appending path words only
   // (the row stays hot), then registered in one sweep by FinishWalk.
   // The per-walk RNG stream is identical to registering inline.
   uint64_t steps = 0;
-  for (const PendingWalk& start_state : walk_queue_) {
-    PendingWalk w = start_state;
-    while (true) {
-      NodeId next;
-      if (w.forced != kInvalidNode) {
-        next = w.forced;
-        w.forced = kInvalidNode;
-      } else if (rng->Bernoulli(epsilon_)) {
-        FinishWalk(w.seg, w.start, /*dangling=*/false);
-        break;
-      } else if (g.OutDegree(w.cur) == 0) {
-        FinishWalk(w.seg, w.start, /*dangling=*/true);
-        break;
-      } else {
-        next = g.RandomOutNeighbor(w.cur, rng);
-      }
-      FASTPPR_CHECK(PathLen(w.seg) < kNoSlot);
-      paths_.PushBack(w.seg, slab::Pack(next, kNoSlot));
-      w.cur = next;
-      ++steps;
-    }
+  for (const PendingWalk& w : walk_queue_) {
+    const NodeId tail = PathNode(w.seg, w.start);
+    const uint8_t end = Walk(g, tail, Dir(w.seg, w.start), w.forced, rng,
+                             [&](NodeId v) {
+                               FASTPPR_CHECK(PathLen(w.seg) < kNoSlot);
+                               paths_.PushBack(w.seg,
+                                               slab::Pack(v, kNoSlot));
+                               ++steps;
+                             });
+    FinishWalk(w.seg, w.start, end);
   }
   return steps;
 }
 
-std::span<const Edge> WalkStore::GroupBySource(std::span<const Edge> edges) {
+template <typename Kind>
+std::span<const Edge> BasicWalkStore<Kind>::GroupByPivot(
+    std::span<const Edge> edges, uint32_t dir) {
   if (edges.size() == 1) return edges;
-  scratch_edges_.assign(edges.begin(), edges.end());
-  std::stable_sort(scratch_edges_.begin(), scratch_edges_.end(),
-                   [](const Edge& a, const Edge& b) { return a.src < b.src; });
-  return scratch_edges_;
+  std::vector<Edge>& sorted = grouped_[dir];
+  sorted.assign(edges.begin(), edges.end());
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [dir](const Edge& a, const Edge& b) {
+                     return Pivot(a, dir) < Pivot(b, dir);
+                   });
+  return sorted;
 }
 
-WalkUpdateStats WalkStore::OnEdgeInserted(const DiGraph& g, NodeId u,
-                                          NodeId v, Rng* rng) {
-  const Edge e{u, v};
-  return OnEdgesInserted(g, std::span<const Edge>(&e, 1), rng);
+template <typename Kind>
+void BasicWalkStore<Kind>::CollectInsertGroup(
+    const DiGraph& g, uint32_t dir, std::span<const Edge> group_edges,
+    uint32_t group, Rng* rng, WalkUpdateStats* stats) {
+  const NodeId pivot = Pivot(group_edges[0], dir);
+  const uint32_t k = static_cast<uint32_t>(group_edges.size());
+  const std::size_t degree = Degree(g, pivot, dir);
+  FASTPPR_CHECK_MSG(degree >= k, "graph must already contain the new edges");
+  if (degree == k) {
+    // The pivot had no edge in this direction before the batch: every
+    // segment dangling here resumes through a (uniformly chosen) new
+    // edge. The terminal visit already survived its reset draw, so the
+    // step is unconditional — this stays exact even under
+    // kRedoFromSource, since re-rolling the draw would make
+    // reset-terminated segments an absorbing state.
+    for (const uint64_t word : dangling_[dir].RowSpan(pivot)) {
+      scratch_.Offer(
+          PendingRepair{slab::Hi(word), slab::Lo(word), group, k, true});
+    }
+    return;
+  }
+
+  // Coupling step (Proposition 2, telescoped over the group): going from
+  // degree d-k to d, each stored visit at the pivot with a step in this
+  // direction switches with probability k/d, landing uniformly on the
+  // new neighbours.
+  const slab::SlabPool& pool = steps_[dir];
+  const std::size_t w = pool.Size(pivot);
+  if (w == 0) return;
+  const uint64_t marks = rng->Binomial(
+      w, static_cast<double>(k) / static_cast<double>(degree));
+  if (marks == 0) return;
+  // Choose `marks` distinct visit indices uniformly (Floyd's algorithm);
+  // the earliest marked position per segment wins inside Offer().
+  scratch_.SampleDistinct(w, marks, rng);
+  stats->entries_scanned += scratch_.picked().size();
+  for (std::size_t idx : scratch_.picked()) {
+    const uint64_t word = pool.Get(pivot, static_cast<uint32_t>(idx));
+    scratch_.Offer(
+        PendingRepair{slab::Hi(word), slab::Lo(word), group, k, false});
+  }
 }
 
-WalkUpdateStats WalkStore::OnEdgeRemoved(const DiGraph& g, NodeId u,
-                                         NodeId v, Rng* rng) {
-  const Edge e{u, v};
-  return OnEdgesRemoved(g, std::span<const Edge>(&e, 1), rng);
+template <typename Kind>
+void BasicWalkStore<Kind>::CollectRemoveGroup(
+    const DiGraph& g, uint32_t dir, std::span<const Edge> group_edges,
+    uint32_t group, Rng* rng, WalkUpdateStats* stats) {
+  const NodeId pivot = Pivot(group_edges[0], dir);
+  std::vector<RemovedTarget>& targets = removed_scratch_;
+  targets.clear();
+  for (const Edge& e : group_edges) {
+    const NodeId t = Target(e, dir);
+    bool found = false;
+    for (RemovedTarget& have : targets) {
+      if (have.node == t) {
+        ++have.removed;
+        found = true;
+        break;
+      }
+    }
+    if (!found) targets.push_back(RemovedTarget{t, 1, 0});
+  }
+  // Multiplicity of each removed target still present after the batch:
+  // a stored step to t chose uniformly among (remaining + removed)
+  // parallel copies, so it chose a removed copy with probability
+  // removed / (remaining + removed).
+  const std::span<const NodeId> neighbors =
+      Forward(dir) ? g.OutNeighbors(pivot) : g.InNeighbors(pivot);
+  for (NodeId w : neighbors) {
+    for (RemovedTarget& have : targets) {
+      if (have.node == w) {
+        ++have.remaining;
+        break;
+      }
+    }
+  }
+
+  // Scan the visits at the pivot for stored steps into a removed target.
+  // The scan is O(W) cheap index reads (entries_scanned); only actual
+  // re-simulation counts as walk work, matching the paper's accounting.
+  const auto row = steps_[dir].RowSpan(pivot);
+  stats->entries_scanned += row.size();
+  for (const uint64_t word : row) {
+    const uint64_t seg = slab::Hi(word);
+    const uint32_t pos = slab::Lo(word);
+    FASTPPR_CHECK(pos + 1 < PathLen(seg));
+    const NodeId next = PathNode(seg, pos + 1);
+    const RemovedTarget* t = nullptr;
+    for (const RemovedTarget& cand : targets) {
+      if (cand.node == next) {
+        t = &cand;
+        break;
+      }
+    }
+    if (t == nullptr) continue;
+    const double p_broken = static_cast<double>(t->removed) /
+                            static_cast<double>(t->remaining + t->removed);
+    if (!rng->Bernoulli(p_broken)) continue;  // used a surviving copy
+    scratch_.Offer(PendingRepair{seg, pos, group,
+                                 static_cast<uint32_t>(group_edges.size()),
+                                 false});
+  }
 }
 
-WalkUpdateStats WalkStore::OnEdgesInserted(const DiGraph& g,
-                                           std::span<const Edge> edges,
-                                           Rng* rng) {
+template <typename Kind>
+WalkUpdateStats BasicWalkStore<Kind>::Repair(const DiGraph& g,
+                                             std::span<const Edge> edges,
+                                             bool inserted, Rng* rng) {
   WalkUpdateStats stats;
   if (edges.empty()) return stats;
-  std::span<const Edge> grouped = GroupBySource(edges);
 
-  // Collect every switch decision before re-simulating anything: a fresh
-  // suffix is already distributed for the new graph and must not be
-  // switched again by a later group (same invariant as the SALSA store).
+  // Collect every switch/break decision — from every pivot direction —
+  // before re-simulating anything: a fresh suffix is already distributed
+  // for the new graph and must not be switched again by a later group.
+  std::array<std::span<const Edge>, kDirs> grouped;
   scratch_.BeginEpoch();
-  for (std::size_t lo = 0; lo < grouped.size();) {
-    std::size_t hi = lo + 1;
-    while (hi < grouped.size() && grouped[hi].src == grouped[lo].src) ++hi;
-    const NodeId u = grouped[lo].src;
-    const std::size_t k = hi - lo;
-    const std::size_t d = g.OutDegree(u);
-    FASTPPR_CHECK_MSG(d >= k, "graph must already contain the new edges");
-    const uint32_t group = static_cast<uint32_t>(lo);
-    const uint32_t ksz = static_cast<uint32_t>(k);
-
-    if (d == k) {
-      // u had no out-edge before this batch: every segment dangling at u
-      // resumes through a (uniformly chosen) new edge. The terminal visit
-      // already survived its reset draw, so the step is unconditional —
-      // this stays exact even under kRedoFromSource, since re-rolling the
-      // draw would make reset-terminated segments an absorbing state.
-      const auto row = dangling_.RowSpan(u);
-      for (const uint64_t word : row) {
-        scratch_.Offer(PendingRepair{slab::Hi(word), slab::Lo(word), group,
-                                     ksz, true});
+  for (uint32_t dir = 0; dir < kDirs; ++dir) {
+    grouped[dir] = GroupByPivot(edges, dir);
+    const std::span<const Edge> list = grouped[dir];
+    for (std::size_t lo = 0; lo < list.size();) {
+      const NodeId pivot = Pivot(list[lo], dir);
+      std::size_t hi = lo + 1;
+      while (hi < list.size() && Pivot(list[hi], dir) == pivot) ++hi;
+      const std::span<const Edge> group = list.subspan(lo, hi - lo);
+      if (inserted) {
+        CollectInsertGroup(g, dir, group, static_cast<uint32_t>(lo), rng,
+                           &stats);
+      } else {
+        CollectRemoveGroup(g, dir, group, static_cast<uint32_t>(lo), rng,
+                           &stats);
       }
       lo = hi;
-      continue;
     }
-
-    // Coupling step (Proposition 2, telescoped over the group): going from
-    // degree d-k to d, each stored visit at u with an outgoing step
-    // switches with probability k/d, landing uniformly on the new targets.
-    const std::size_t w = steps_.Size(u);
-    if (w == 0) {
-      lo = hi;
-      continue;
-    }
-    const uint64_t marks =
-        rng->Binomial(w, static_cast<double>(k) / static_cast<double>(d));
-    if (marks == 0) {
-      lo = hi;
-      continue;
-    }
-    // Choose `marks` distinct visit indices uniformly (Floyd's algorithm);
-    // the earliest marked position per segment wins inside Offer().
-    scratch_.SampleDistinct(w, marks, rng);
-    stats.entries_scanned += scratch_.picked().size();
-    for (std::size_t idx : scratch_.picked()) {
-      const uint64_t word = steps_.Get(u, static_cast<uint32_t>(idx));
-      scratch_.Offer(PendingRepair{slab::Hi(word), slab::Lo(word), group,
-                                   ksz, false});
-    }
-    lo = hi;
   }
   if (scratch_.empty()) return stats;
   stats.store_called = 1;
 
-  // Apply phase: one repair per touched segment, re-simulated on the
-  // final graph.
+  // Apply phase (DESIGN.md §1, one repair order): truncate every planned
+  // segment and draw its forced first hop, then re-simulate the queued
+  // suffixes on the final graph.
   scratch_.OrderForApply();
   walk_queue_.clear();
   for (const PendingRepair& plan : scratch_.pending()) {
     const uint64_t seg = plan.seg;
     RecordDirtySegment(seg);
-    // A switched hop lands uniformly on the group's new targets. No draw
-    // for singleton groups, so a 1-edge batch matches the sequential RNG
-    // stream bit for bit.
+    ++stats.segments_updated;
+    const uint32_t dir = Dir(seg, plan.pos);
+    // A switched hop lands uniformly on the group's new neighbours. No
+    // draw for singleton groups, so a 1-edge batch matches the
+    // sequential RNG stream bit for bit.
     auto draw_target = [&]() -> NodeId {
-      if (plan.group_size == 1) return grouped[plan.group].dst;
-      return grouped[plan.group + rng->UniformIndex(plan.group_size)].dst;
+      const std::size_t i =
+          plan.group_size == 1 ? 0 : rng->UniformIndex(plan.group_size);
+      return Target(grouped[dir][plan.group + i], dir);
     };
     if (plan.from_dangling) {
       UnregisterDangling(seg, plan.pos);
-      walk_queue_.push_back(PendingWalk{seg, PathNode(seg, plan.pos),
-                                       draw_target(), plan.pos});
-    } else if (policy_ == UpdatePolicy::kRedoFromSource) {
-      ResetSegmentToSource(seg);
-      walk_queue_.push_back(
-          PendingWalk{seg, PathNode(seg, 0), kInvalidNode, 0});
-    } else {
-      TruncateAfter(seg, plan.pos);
-      UnregisterStep(seg, plan.pos);  // tail becomes pending
-      walk_queue_.push_back(PendingWalk{seg, PathNode(seg, plan.pos),
-                                       draw_target(), plan.pos});
-    }
-    ++stats.segments_updated;
-  }
-  stats.walk_steps += ExtendPendingWalks(g, rng);
-  return stats;
-}
-
-WalkUpdateStats WalkStore::OnEdgesRemoved(const DiGraph& g,
-                                          std::span<const Edge> edges,
-                                          Rng* rng) {
-  WalkUpdateStats stats;
-  if (edges.empty()) return stats;
-  std::span<const Edge> grouped = GroupBySource(edges);
-
-  std::vector<RemovedTarget>& targets = removed_scratch_;
-
-  scratch_.BeginEpoch();
-  for (std::size_t lo = 0; lo < grouped.size();) {
-    std::size_t hi = lo + 1;
-    while (hi < grouped.size() && grouped[hi].src == grouped[lo].src) ++hi;
-    const NodeId u = grouped[lo].src;
-
-    targets.clear();
-    for (std::size_t i = lo; i < hi; ++i) {
-      const NodeId v = grouped[i].dst;
-      bool found = false;
-      for (RemovedTarget& t : targets) {
-        if (t.node == v) {
-          ++t.removed;
-          found = true;
-          break;
-        }
-      }
-      if (!found) targets.push_back(RemovedTarget{v, 1, 0});
-    }
-    // Multiplicity of each removed target still present after the batch:
-    // a stored step to v chose uniformly among (remaining + removed)
-    // parallel copies, so it chose a removed copy with probability
-    // removed / (remaining + removed).
-    for (NodeId w : g.OutNeighbors(u)) {
-      for (RemovedTarget& t : targets) {
-        if (t.node == w) {
-          ++t.remaining;
-          break;
-        }
-      }
-    }
-
-    // Scan the visits at u for stored steps into a removed target. The
-    // scan is O(W(u)) cheap index reads (entries_scanned); only actual
-    // re-simulation counts as walk work, matching the paper's accounting.
-    const auto row = steps_.RowSpan(u);
-    stats.entries_scanned += row.size();
-    for (const uint64_t word : row) {
-      const uint64_t seg = slab::Hi(word);
-      const uint32_t pos = slab::Lo(word);
-      FASTPPR_CHECK(pos + 1 < PathLen(seg));
-      const NodeId next = PathNode(seg, pos + 1);
-      const RemovedTarget* t = nullptr;
-      for (const RemovedTarget& cand : targets) {
-        if (cand.node == next) {
-          t = &cand;
-          break;
-        }
-      }
-      if (t == nullptr) continue;
-      const double p_broken =
-          static_cast<double>(t->removed) /
-          static_cast<double>(t->remaining + t->removed);
-      if (!rng->Bernoulli(p_broken)) continue;  // used a surviving copy
-      scratch_.Offer(PendingRepair{seg, pos, static_cast<uint32_t>(lo),
-                                   static_cast<uint32_t>(hi - lo), false});
-    }
-    lo = hi;
-  }
-  if (scratch_.empty()) return stats;
-  stats.store_called = 1;
-
-  scratch_.OrderForApply();
-  walk_queue_.clear();
-  for (const PendingRepair& plan : scratch_.pending()) {
-    const uint64_t seg = plan.seg;
-    RecordDirtySegment(seg);
-    if (policy_ == UpdatePolicy::kRedoFromSource) {
-      ResetSegmentToSource(seg);
-      walk_queue_.push_back(
-          PendingWalk{seg, PathNode(seg, 0), kInvalidNode, 0});
-      ++stats.segments_updated;
+      walk_queue_.push_back(PendingWalk{seg, draw_target(), plan.pos});
       continue;
     }
-    const NodeId pivot = PathNode(seg, plan.pos);
+    if constexpr (Kind::kHasUpdatePolicy) {
+      if (policy_ == UpdatePolicy::kRedoFromSource) {
+        ResetSegmentToSource(seg);
+        walk_queue_.push_back(PendingWalk{seg, kInvalidNode, 0});
+        continue;
+      }
+    }
     TruncateAfter(seg, plan.pos);
-    UnregisterStep(seg, plan.pos);
-    if (g.OutDegree(pivot) == 0) {
-      // The visit survived its reset draw but the pivot is now dangling.
-      seg_end_[seg] = static_cast<uint8_t>(EndReason::kDangling);
+    UnregisterStep(seg, plan.pos);  // tail becomes pending
+    const NodeId pivot = PathNode(seg, plan.pos);
+    if (inserted) {
+      walk_queue_.push_back(PendingWalk{seg, draw_target(), plan.pos});
+    } else if (Degree(g, pivot, dir) == 0) {
+      // The visit survived its reset draw but the pivot now dangles.
+      seg_end_[seg] = DanglingEnd(dir);
       RegisterDangling(seg, plan.pos);
     } else {
-      // Re-draw the step among the remaining out-edges, then continue
-      // with fresh randomness (no reset draw: the original one survived).
-      NodeId fresh = g.RandomOutNeighbor(pivot, rng);
-      walk_queue_.push_back(PendingWalk{seg, pivot, fresh, plan.pos});
+      // Re-draw the step among the remaining edges, then continue with
+      // fresh randomness (no reset draw: the original one survived).
+      walk_queue_.push_back(PendingWalk{
+          seg, RandomNeighbor(g, pivot, dir, rng), plan.pos});
     }
-    ++stats.segments_updated;
   }
   stats.walk_steps += ExtendPendingWalks(g, rng);
   return stats;
 }
 
-void WalkStore::CheckConsistency(const DiGraph& g) const {
-  std::vector<int64_t> recount(num_nodes(), 0);
-  int64_t total = 0;
+template <typename Kind>
+void BasicWalkStore<Kind>::CheckConsistency(const DiGraph& g) const {
+  std::array<std::vector<int64_t>, kDirs> recount;
+  for (auto& counts : recount) counts.assign(num_nodes(), 0);
+  // Indexed positions per pool: each maps to its own entry (below), so
+  // equal totals make index rows and path back-slots mutually inverse.
+  std::array<std::size_t, kDirs> indexed_steps{}, indexed_dangling{};
   for (uint64_t seg = 0; seg < num_segments(); ++seg) {
     const uint32_t len = PathLen(seg);
-    // Source of segment seg is seg / R; unowned sources (sharded mode)
-    // have empty rows, owned sources never do.
-    const NodeId source = static_cast<NodeId>(seg / walks_per_node_);
+    // Unowned sources (sharded mode) have empty rows, owned never do.
+    const NodeId source = static_cast<NodeId>(seg / segments_per_node());
     if (len == 0) {
       FASTPPR_CHECK(!OwnsSource(source));
       continue;
@@ -524,49 +487,47 @@ void WalkStore::CheckConsistency(const DiGraph& g) const {
     for (uint32_t p = 0; p < len; ++p) {
       const NodeId node = PathNode(seg, p);
       const uint32_t slot = PathSlot(seg, p);
-      ++recount[node];
-      ++total;
-      const bool terminal = (p + 1 == len);
-      if (!terminal) {
-        // Hop must be a real edge and the entry must be indexed.
-        FASTPPR_CHECK_MSG(g.HasEdge(node, PathNode(seg, p + 1)),
+      const uint32_t d = Dir(seg, p);
+      ++recount[d][node];
+      if (p + 1 < len) {
+        // Hop must be a real edge in the step's direction and the entry
+        // must be indexed.
+        const NodeId next = PathNode(seg, p + 1);
+        FASTPPR_CHECK_MSG(Forward(d) ? g.HasEdge(node, next)
+                                     : g.HasEdge(next, node),
                           "stored hop is not an edge");
-        FASTPPR_CHECK(slot < steps_.Size(node));
-        FASTPPR_CHECK(steps_.Get(node, slot) == slab::Pack(seg, p));
-      } else if (End(seg) == EndReason::kDangling) {
-        FASTPPR_CHECK_MSG(g.OutDegree(node) == 0,
-                          "dangling tail at a node with out-edges");
-        FASTPPR_CHECK(slot < dangling_.Size(node));
-        FASTPPR_CHECK(dangling_.Get(node, slot) == slab::Pack(seg, p));
-      } else {
+        FASTPPR_CHECK(slot < steps_[d].Size(node));
+        FASTPPR_CHECK(steps_[d].Get(node, slot) == slab::Pack(seg, p));
+        ++indexed_steps[d];
+      } else if (End(seg) == EndReason::kReset) {
         FASTPPR_CHECK(slot == kNoSlot);
+        FASTPPR_CHECK(Forward(d));
+      } else {
+        FASTPPR_CHECK(seg_end_[seg] == DanglingEnd(d));
+        FASTPPR_CHECK_MSG(Degree(g, node, d) == 0,
+                          "dangling tail at a node with edges");
+        FASTPPR_CHECK(slot < dangling_[d].Size(node));
+        FASTPPR_CHECK(dangling_[d].Get(node, slot) == slab::Pack(seg, p));
+        ++indexed_dangling[d];
       }
     }
   }
-  for (NodeId vtx = 0; vtx < num_nodes(); ++vtx) {
-    FASTPPR_CHECK(recount[vtx] == visit_count_[vtx]);
-  }
-  FASTPPR_CHECK(total == total_visits_);
-  // Every index entry must point back at a matching path position.
-  for (NodeId vtx = 0; vtx < num_nodes(); ++vtx) {
-    for (uint32_t slot = 0; slot < steps_.Size(vtx); ++slot) {
-      const uint64_t word = steps_.Get(vtx, slot);
-      const uint64_t seg = slab::Hi(word);
-      const uint32_t pos = slab::Lo(word);
-      FASTPPR_CHECK(pos < PathLen(seg));
-      FASTPPR_CHECK(PathNode(seg, pos) == vtx);
-      FASTPPR_CHECK(PathSlot(seg, pos) == slot);
+  for (uint32_t d = 0; d < kDirs; ++d) {
+    int64_t total = 0;
+    std::size_t step_entries = 0, dangling_entries = 0;
+    for (NodeId vtx = 0; vtx < num_nodes(); ++vtx) {
+      FASTPPR_CHECK(recount[d][vtx] == visits_[d][vtx]);
+      total += recount[d][vtx];
+      step_entries += steps_[d].Size(vtx);
+      dangling_entries += dangling_[d].Size(vtx);
     }
-    for (uint32_t slot = 0; slot < dangling_.Size(vtx); ++slot) {
-      const uint64_t word = dangling_.Get(vtx, slot);
-      const uint64_t seg = slab::Hi(word);
-      const uint32_t pos = slab::Lo(word);
-      FASTPPR_CHECK(pos + 1 == PathLen(seg));
-      FASTPPR_CHECK(PathNode(seg, pos) == vtx);
-      FASTPPR_CHECK(PathSlot(seg, pos) == slot);
-      FASTPPR_CHECK(End(seg) == EndReason::kDangling);
-    }
+    FASTPPR_CHECK(total == totals_[d]);
+    FASTPPR_CHECK(step_entries == indexed_steps[d]);
+    FASTPPR_CHECK(dangling_entries == indexed_dangling[d]);
   }
 }
+
+template class BasicWalkStore<PageRankWalk>;
+template class BasicWalkStore<SalsaWalk>;
 
 }  // namespace fastppr

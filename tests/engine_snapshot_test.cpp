@@ -2,6 +2,7 @@
 // graph + walk segments, reload, and keep maintaining incrementally.
 
 #include <filesystem>
+#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -90,6 +91,47 @@ TEST(EngineSnapshotTest, IsolatedNodesSurviveRoundtrip) {
   EXPECT_EQ(restored->num_nodes(), 10u);
   restored->CheckConsistency();
   std::filesystem::remove_all(dir);
+}
+
+/// Saves the 4-node engine with edges (0,2), (1,2), (2,3), (3,1) and
+/// appends `extra_line` to its graph.txt.
+std::string SnapshotWithExtraGraphLine(const char* name,
+                                       const std::string& extra_line) {
+  IncrementalPageRank engine(4, Opts(3, 0.2, 11));
+  for (const Edge& e : {Edge{0, 2}, Edge{1, 2}, Edge{2, 3}, Edge{3, 1}}) {
+    EXPECT_TRUE(engine.AddEdge(e.src, e.dst).ok());
+  }
+  const std::string dir = SnapshotDir(name);
+  EXPECT_TRUE(engine.SaveSnapshot(dir).ok());
+  std::ofstream(dir + "/graph.txt", std::ios::app) << extra_line << "\n";
+  return dir;
+}
+
+TEST(EngineSnapshotTest, EndpointPastUint32IsCorruptionNotTruncated) {
+  // 2^32 would truncate to node 0 in a 32-bit id and load an edge
+  // (0, 1) that was never saved.
+  const std::string dir =
+      SnapshotWithExtraGraphLine("wide_id", "4294967296 1");
+  std::unique_ptr<IncrementalPageRank> restored;
+  const Status s =
+      IncrementalPageRank::LoadSnapshot(dir, Opts(3, 0.2, 12), &restored);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(restored, nullptr);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(EngineSnapshotTest, EndpointOutsideSnapshotNodeCountIsCorruption) {
+  // An endpoint near 2^32 must be rejected against the snapshot's node
+  // count before any graph is sized from it; so must one just past n.
+  for (const char* line : {"4294967295 0", "4 0"}) {
+    const std::string dir = SnapshotWithExtraGraphLine("big_id", line);
+    std::unique_ptr<IncrementalPageRank> restored;
+    const Status s =
+        IncrementalPageRank::LoadSnapshot(dir, Opts(3, 0.2, 13), &restored);
+    EXPECT_TRUE(s.IsCorruption()) << line << ": " << s.ToString();
+    EXPECT_EQ(restored, nullptr);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(EngineSnapshotTest, MissingDirectoryFails) {

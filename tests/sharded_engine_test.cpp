@@ -18,7 +18,8 @@
 //    ThreadSanitizer on every push);
 //  * the pipelined execution model (PR 9) is bit-identical to the
 //    --lockstep escape hatch at EVERY published epoch (SerializeState
-//    differential at S in {1, 4}), and the three overlapped stages
+//    differential at S in {1, 4}, both walk kinds), and the three
+//    overlapped stages
 //    survive a TSan stress run against PersonalizedTopK readers with a
 //    mid-pipeline durability quiesce + bit-identical Recover (the
 //    `*Pipelined*` filter the CI TSan job runs at FASTPPR_STRESS_THREADS).
@@ -32,6 +33,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -187,7 +189,19 @@ TEST(ShardedEngineTest, OneShardMatchesFlatSalsaBitForBit) {
   EXPECT_EQ(sharded.TopK(10), flat.TopKAuthorities(10));
 }
 
-TEST(ShardedEngineTest, FourShardsInvariantAcrossThreadCounts) {
+/// The two determinism differentials below run for both walk kinds.
+template <typename Engine>
+class ShardedEngineKindTest : public ::testing::Test {};
+using EngineKinds = ::testing::Types<IncrementalPageRank, IncrementalSalsa>;
+struct EngineKindNames {
+  template <typename Engine>
+  static std::string GetName(int) {
+    return std::is_same_v<Engine, IncrementalSalsa> ? "Salsa" : "PageRank";
+  }
+};
+TYPED_TEST_SUITE(ShardedEngineKindTest, EngineKinds, EngineKindNames);
+
+TYPED_TEST(ShardedEngineKindTest, FourShardsInvariantAcrossThreadCounts) {
   const std::size_t n = 160;
   const auto events = MixedStream(n, 23, 0.2);
   const MonteCarloOptions mc = Opts(3, 0.2, 41);
@@ -195,8 +209,7 @@ TEST(ShardedEngineTest, FourShardsInvariantAcrossThreadCounts) {
   std::vector<std::vector<int64_t>> counts;
   std::vector<uint64_t> steps;
   for (std::size_t threads : {1u, 2u, 4u}) {
-    ShardedEngine<IncrementalPageRank> engine(n, mc,
-                                              ShardedOptions{4, threads});
+    ShardedEngine<TypeParam> engine(n, mc, ShardedOptions{4, threads});
     StreamWindows(events, [&](std::span<const EdgeEvent> w) {
       ASSERT_TRUE(engine.ApplyEvents(w).ok());
     });
@@ -254,12 +267,12 @@ TEST(ShardedEngineTest, ShardsShareOneSocialStore) {
   engine.CheckConsistency();
 }
 
-TEST(ShardedEngineTest, PipelinedMatchesLockstepBitForBitPerEpoch) {
+TYPED_TEST(ShardedEngineKindTest, PipelinedMatchesLockstepBitForBitPerEpoch) {
   // The tentpole oracle: the pipelined engine (ingest k+1 overlapping
   // repair k overlapping publish k-1) is bit-identical to the
   // --lockstep escape hatch at EVERY published epoch — same serialized
   // graph slabs, walk slabs, RNG streams, counters and ledgers — for
-  // S in {1, 4} and differing worker thread counts.
+  // S in {1, 4}, differing worker thread counts and both walk kinds.
   const std::size_t n = 150;
   const auto events = MixedStream(n, 131, 0.2);
   const MonteCarloOptions mc = Opts(3, 0.2, 71);
@@ -267,8 +280,8 @@ TEST(ShardedEngineTest, PipelinedMatchesLockstepBitForBitPerEpoch) {
     ShardedOptions popts{S, 4};
     ShardedOptions lopts{S, 2};
     lopts.lockstep = true;
-    ShardedEngine<IncrementalPageRank> pipelined(n, mc, popts);
-    ShardedEngine<IncrementalPageRank> lockstep(n, mc, lopts);
+    ShardedEngine<TypeParam> pipelined(n, mc, popts);
+    ShardedEngine<TypeParam> lockstep(n, mc, lopts);
     ASSERT_FALSE(pipelined.lockstep());
     ASSERT_TRUE(lockstep.lockstep());
 
