@@ -139,14 +139,15 @@ Status IncrementalEngine<Kind>::LoadSnapshot(
     std::unique_ptr<IncrementalEngine>* engine)
   requires kIsPageRank
 {
-  // The walks header (CRC-checked) carries the node universe, isolated
-  // trailing nodes included; every graph endpoint must lie inside it.
-  uint64_t num_nodes = 0;
+  // The walks header carries the node universe, isolated trailing nodes
+  // included; every graph endpoint must lie inside it. The file is
+  // mapped and checksummed once, and Open has already checked that the
+  // body can hold n·R segments, so no graph is sized from a header its
+  // body cannot back.
+  WalkSnapshotReader walks;
   FASTPPR_RETURN_IF_ERROR(
-      PeekWalkStoreNodeCount(directory + "/walks.bin", &num_nodes));
-  if (num_nodes >= kInvalidNode) {
-    return Status::Corruption("snapshot node count exceeds the id space");
-  }
+      WalkSnapshotReader::Open(directory + "/walks.bin", &walks));
+  const uint64_t num_nodes = walks.num_nodes();
   // Node ids inside an engine snapshot are already dense and must be
   // preserved exactly (ReadSnapEdgeList would remap by first appearance),
   // so read the raw pairs directly.
@@ -182,8 +183,7 @@ Status IncrementalEngine<Kind>::LoadSnapshot(
   for (const Edge& e : edges) {
     FASTPPR_RETURN_IF_ERROR(g->AddEdge(e.src, e.dst));
   }
-  FASTPPR_RETURN_IF_ERROR(
-      LoadWalkStore(directory + "/walks.bin", *g, &candidate->walks_));
+  FASTPPR_RETURN_IF_ERROR(walks.LoadInto(*g, &candidate->walks_));
   candidate->options_.walks_per_node = candidate->walks_.walks_per_node();
   candidate->options_.epsilon = candidate->walks_.epsilon();
   *engine = std::move(candidate);

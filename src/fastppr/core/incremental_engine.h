@@ -189,7 +189,8 @@ class IncrementalEngine {
   /// Restores an engine saved by SaveSnapshot. The options' R and epsilon
   /// are taken from the snapshot; `opts.seed` seeds the post-restore
   /// update randomness. The node count is the snapshot's (its header is
-  /// CRC-checked); an edge endpoint outside it is Corruption.
+  /// CRC-checked and must be backed by n·R segments in the body); an
+  /// edge endpoint outside it is Corruption.
   static Status LoadSnapshot(const std::string& directory,
                              const MonteCarloOptions& opts,
                              std::unique_ptr<IncrementalEngine>* engine)

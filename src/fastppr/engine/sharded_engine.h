@@ -591,11 +591,12 @@ class ShardedEngine {
       return Status::InvalidArgument("durability is not enabled");
     }
     Drain();
-    ArenaWriter body;
+    // Streamed: the body goes to disk as the SaveTo chain produces it,
+    // with no in-memory copy of the whole engine.
+    FramedFileWriter body(CheckpointPath(), kCheckpointMagic);
     BuildManifest().SaveTo(&body);
     SerializeTo(&body);
-    FASTPPR_RETURN_IF_ERROR(
-        WriteFramedFile(CheckpointPath(), kCheckpointMagic, body.buffer()));
+    FASTPPR_RETURN_IF_ERROR(body.Finish());
     if (wal_.is_open()) {
       FASTPPR_RETURN_IF_ERROR(wal_.Close());
     }
@@ -656,10 +657,12 @@ class ShardedEngine {
                               wal_path);
     }
 
-    std::vector<uint8_t> body;
+    // Mapped and CRC-verified before parsing; parsed in place. The
+    // mapping is released when this function returns.
+    FramedFileReader ckpt;
     FASTPPR_RETURN_IF_ERROR(
-        ReadFramedFile(ckpt_path, kCheckpointMagic, &body));
-    ArenaReader r(body);
+        FramedFileReader::Open(ckpt_path, kCheckpointMagic, &ckpt));
+    ArenaReader r = ckpt.Reader();
     DurableManifest manifest;
     if (!manifest.LoadFrom(&r)) {
       return Status::Corruption("checkpoint manifest malformed");
@@ -1090,7 +1093,8 @@ class ShardedEngine {
   /// rebuilt from it on restore, so the serialized form is identical
   /// between the pipelined and lockstep modes (the differential tests'
   /// oracle depends on this).
-  void SerializeTo(ArenaWriter* w) const {
+  template <typename Sink>
+  void SerializeTo(Sink* w) const {
     w->Pod(windows_applied_.load(std::memory_order_relaxed));
     router_.SaveTo(w);
     social_->SaveTo(w);

@@ -7,7 +7,8 @@
 // engine is nothing but the concatenation of its flat columns plus a
 // handful of scalars (RNG state, counters, epoch). ArenaWriter appends
 // trivially-copyable values and whole vectors as raw little-endian
-// bytes into one contiguous body; ArenaReader replays them with strict
+// bytes into one contiguous body (the checkpoint writer streams the same
+// encoding to disk instead); ArenaReader replays them with strict
 // bounds checking and a sticky failure flag, so a truncated or
 // garbage-length body surfaces as Status::Corruption — never a crash or
 // a multi-gigabyte allocation.
@@ -35,12 +36,17 @@
 
 namespace fastppr {
 
-class ArenaWriter {
+/// The Pod/Vec encoding shared by every byte sink of the SaveTo chain
+/// (ArenaWriter here, the streamed checkpoint writer in
+/// store/checkpoint.h), so a body has the same bytes whichever sink
+/// produced it. `Derived` supplies Bytes(data, n).
+template <typename Derived>
+class ArenaSink {
  public:
   template <typename T>
   void Pod(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>);
-    Bytes(&value, sizeof(T));
+    self().Bytes(&value, sizeof(T));
   }
 
   /// u64 element count, then the elements as raw bytes.
@@ -48,9 +54,16 @@ class ArenaWriter {
   void Vec(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     Pod(static_cast<uint64_t>(v.size()));
-    if (!v.empty()) Bytes(v.data(), v.size() * sizeof(T));
+    if (!v.empty()) self().Bytes(v.data(), v.size() * sizeof(T));
   }
 
+ private:
+  Derived& self() { return static_cast<Derived&>(*this); }
+};
+
+/// A sink that collects the body in memory (SerializeState, WAL records).
+class ArenaWriter : public ArenaSink<ArenaWriter> {
+ public:
   void Bytes(const void* data, std::size_t n) {
     const uint8_t* p = static_cast<const uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);

@@ -1,10 +1,12 @@
 #include "fastppr/store/walk_store_io.h"
 
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "fastppr/store/arena_io.h"
-#include "fastppr/store/checkpoint.h"
 
 namespace fastppr {
 
@@ -12,17 +14,12 @@ namespace {
 
 constexpr uint64_t kWalkSnapshotMagic = 0x464153545050521AULL;
 
-struct SnapshotHeader {
-  uint64_t walks_per_node = 0;
-  double epsilon = 0.0;
-  uint64_t num_nodes = 0;
-  uint64_t num_segments = 0;
-};
+/// Header: R, epsilon, n, segment count.
+constexpr std::size_t kHeaderBytes = 3 * sizeof(uint64_t) + sizeof(double);
 
-bool ReadHeader(ArenaReader* r, SnapshotHeader* h) {
-  return r->Pod(&h->walks_per_node) && r->Pod(&h->epsilon) &&
-         r->Pod(&h->num_nodes) && r->Pod(&h->num_segments);
-}
+/// Smallest encoding of one segment: end reason, length, one node.
+constexpr uint64_t kMinSegmentBytes =
+    sizeof(uint8_t) + sizeof(uint64_t) + sizeof(NodeId);
 
 }  // namespace
 
@@ -35,7 +32,7 @@ Status SaveWalkStore(const WalkStore& store, const std::string& path) {
         "cannot snapshot a sharded walk store (shard "
         "stores hold only their owned segments)");
   }
-  ArenaWriter w;
+  FramedFileWriter w(path, kWalkSnapshotMagic);
   w.Pod(static_cast<uint64_t>(store.walks_per_node()));
   w.Pod(store.epsilon());
   w.Pod(static_cast<uint64_t>(store.num_nodes()));
@@ -51,32 +48,56 @@ Status SaveWalkStore(const WalkStore& store, const std::string& path) {
       }
     }
   }
-  return WriteFramedFile(path, kWalkSnapshotMagic, w.buffer());
+  return w.Finish();
 }
 
-Status LoadWalkStore(const std::string& path, const DiGraph& g,
-                     WalkStore* store) {
-  std::vector<uint8_t> body;
-  FASTPPR_RETURN_IF_ERROR(ReadFramedFile(path, kWalkSnapshotMagic, &body));
+Status WalkSnapshotReader::Open(const std::string& path,
+                                WalkSnapshotReader* out) {
+  WalkSnapshotReader snap;
+  snap.path_ = path;
+  FASTPPR_RETURN_IF_ERROR(
+      FramedFileReader::Open(path, kWalkSnapshotMagic, &snap.file_));
+  ArenaReader r = snap.file_.Reader();
+  if (!r.Pod(&snap.walks_per_node_) || !r.Pod(&snap.epsilon_) ||
+      !r.Pod(&snap.num_nodes_) || !r.Pod(&snap.num_segments_)) {
+    return r.ToStatus(path);
+  }
+  if (snap.num_nodes_ >= kInvalidNode) {
+    return Status::Corruption("snapshot node count exceeds the id space");
+  }
+  if (snap.walks_per_node_ != 0 &&
+      snap.num_nodes_ >
+          std::numeric_limits<uint64_t>::max() / snap.walks_per_node_) {
+    return Status::Corruption("snapshot segment count overflows");
+  }
+  if (snap.num_segments_ != snap.num_nodes_ * snap.walks_per_node_) {
+    return Status::Corruption("inconsistent segment count");
+  }
+  if (snap.num_segments_ > r.remaining() / kMinSegmentBytes) {
+    return Status::Corruption("snapshot body too short for its segments");
+  }
+  *out = std::move(snap);
+  return Status::OK();
+}
 
-  ArenaReader r(body);
-  SnapshotHeader h;
-  if (!ReadHeader(&r, &h)) return r.ToStatus(path);
-  if (h.num_nodes != g.num_nodes()) {
+Status WalkSnapshotReader::LoadInto(const DiGraph& g,
+                                    WalkStore* store) const {
+  if (num_nodes_ != g.num_nodes()) {
     return Status::InvalidArgument(
         "snapshot node count does not match the graph");
   }
-  if (h.num_segments != h.num_nodes * h.walks_per_node) {
-    return Status::Corruption("inconsistent segment count");
-  }
+  // Open parsed (and bounds-checked) the header; start past it.
+  const std::span<const uint8_t> segments =
+      file_.body().subspan(kHeaderBytes);
+  ArenaReader r(segments.data(), segments.size());
 
-  std::vector<std::vector<NodeId>> paths(h.num_segments);
-  std::vector<WalkStore::EndReason> ends(h.num_segments,
+  std::vector<std::vector<NodeId>> paths(num_segments_);
+  std::vector<WalkStore::EndReason> ends(num_segments_,
                                          WalkStore::EndReason::kReset);
-  for (uint64_t s = 0; s < h.num_segments; ++s) {
+  for (uint64_t s = 0; s < num_segments_; ++s) {
     uint8_t end = 0;
     uint64_t length = 0;
-    if (!r.Pod(&end) || !r.Pod(&length)) return r.ToStatus(path);
+    if (!r.Pod(&end) || !r.Pod(&length)) return r.ToStatus(path_);
     if (end > 1) return Status::Corruption("bad end reason");
     if (length == 0 || length > r.remaining() / sizeof(NodeId)) {
       return Status::Corruption("implausible segment length");
@@ -84,26 +105,23 @@ Status LoadWalkStore(const std::string& path, const DiGraph& g,
     ends[s] = static_cast<WalkStore::EndReason>(end);
     paths[s].resize(static_cast<std::size_t>(length));
     for (uint64_t p = 0; p < length; ++p) {
-      if (!r.Pod(&paths[s][p])) return r.ToStatus(path);
+      if (!r.Pod(&paths[s][p])) return r.ToStatus(path_);
     }
   }
-  if (!r.AtEnd()) return r.ToStatus(path);
+  if (!r.AtEnd()) return r.ToStatus(path_);
   // Derive a fresh RNG stream for post-restore updates from the snapshot
   // contents (any seed is valid; updates only need fresh randomness).
   const uint64_t seed =
-      kWalkSnapshotMagic ^ h.num_segments ^ (h.num_nodes << 17);
-  return store->InitFromSegments(g, h.walks_per_node, h.epsilon, seed,
-                                 paths, ends);
+      kWalkSnapshotMagic ^ num_segments_ ^ (num_nodes_ << 17);
+  return store->InitFromSegments(g, walks_per_node_, epsilon_, seed, paths,
+                                 ends);
 }
 
-Status PeekWalkStoreNodeCount(const std::string& path, uint64_t* num_nodes) {
-  std::vector<uint8_t> body;
-  FASTPPR_RETURN_IF_ERROR(ReadFramedFile(path, kWalkSnapshotMagic, &body));
-  ArenaReader r(body);
-  SnapshotHeader h;
-  if (!ReadHeader(&r, &h)) return r.ToStatus(path);
-  *num_nodes = h.num_nodes;
-  return Status::OK();
+Status LoadWalkStore(const std::string& path, const DiGraph& g,
+                     WalkStore* store) {
+  WalkSnapshotReader snap;
+  FASTPPR_RETURN_IF_ERROR(WalkSnapshotReader::Open(path, &snap));
+  return snap.LoadInto(g, store);
 }
 
 }  // namespace fastppr

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "fastppr/graph/digraph.h"
+#include "fastppr/store/checkpoint.h"
 #include "fastppr/store/walk_store.h"
 #include "fastppr/util/status.h"
 
@@ -34,10 +35,32 @@ Status SaveWalkStore(const WalkStore& store, const std::string& path);
 Status LoadWalkStore(const std::string& path, const DiGraph& g,
                      WalkStore* store);
 
-/// Reads only the node count from a snapshot's header — used by engine
-/// snapshot loaders to size a graph that has isolated trailing nodes.
-/// Same error contract as LoadWalkStore.
-Status PeekWalkStoreNodeCount(const std::string& path, uint64_t* num_nodes);
+/// A snapshot opened for loading in two steps, so an engine loader can
+/// size its graph from the header (isolated trailing nodes included)
+/// before the segments are parsed — from one mapping, checksummed once.
+/// Open rejects a header the body cannot back: n at or past the id
+/// space, a segment count other than n·R, or fewer body bytes than n·R
+/// minimal segments need. A crafted header therefore fails before
+/// anything is sized from it.
+class WalkSnapshotReader {
+ public:
+  /// NotFound if absent; Corruption as described above.
+  static Status Open(const std::string& path, WalkSnapshotReader* out);
+
+  uint64_t num_nodes() const { return num_nodes_; }
+
+  /// Parses the segments into `store`, validating every hop against
+  /// `g` (LoadWalkStore's contract).
+  Status LoadInto(const DiGraph& g, WalkStore* store) const;
+
+ private:
+  std::string path_;
+  FramedFileReader file_;
+  uint64_t walks_per_node_ = 0;
+  double epsilon_ = 0.0;
+  uint64_t num_nodes_ = 0;
+  uint64_t num_segments_ = 0;
+};
 
 }  // namespace fastppr
 

@@ -2,8 +2,9 @@
 
 #include <array>
 
-#if defined(__SSE4_2__)
+#if defined(__x86_64__)
 #include <nmmintrin.h>
+#define FASTPPR_CRC32C_X86 1
 #endif
 
 namespace fastppr {
@@ -39,8 +40,8 @@ constexpr Crc32cTables BuildTables() {
 
 constexpr Crc32cTables kTables = BuildTables();
 
-inline uint32_t SoftwareExtend(uint32_t crc, const unsigned char* p,
-                               std::size_t n) {
+uint32_t SoftwareExtend(uint32_t crc, const unsigned char* p,
+                        std::size_t n) {
   while (n >= 8) {
     const uint32_t low = crc ^ (static_cast<uint32_t>(p[0]) |
                                 static_cast<uint32_t>(p[1]) << 8 |
@@ -59,9 +60,11 @@ inline uint32_t SoftwareExtend(uint32_t crc, const unsigned char* p,
   return crc;
 }
 
-#if defined(__SSE4_2__)
-inline uint32_t HardwareExtend(uint32_t crc, const unsigned char* p,
-                               std::size_t n) {
+#if defined(FASTPPR_CRC32C_X86)
+/// Compiled for SSE4.2 whatever the build flags; only called after
+/// __builtin_cpu_supports("sse4.2") said the CPU has the instruction.
+__attribute__((target("sse4.2"))) uint32_t HardwareExtend(
+    uint32_t crc, const unsigned char* p, std::size_t n) {
   uint64_t c = crc;
   while (n >= 8) {
     uint64_t word;
@@ -76,19 +79,41 @@ inline uint32_t HardwareExtend(uint32_t crc, const unsigned char* p,
 }
 #endif
 
+using ExtendFn = uint32_t (*)(uint32_t, const unsigned char*, std::size_t);
+
+ExtendFn PickExtend() {
+#if defined(FASTPPR_CRC32C_X86)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return HardwareExtend;
+#endif
+  return SoftwareExtend;
+}
+
+/// Chosen on first use (a function-local static, so a CRC computed
+/// during another translation unit's static initialization is safe).
+ExtendFn Extend() {
+  static const ExtendFn fn = PickExtend();
+  return fn;
+}
+
+// Pre/post-invert so an all-zero buffer does not checksum to zero and
+// appended zero bytes change the value (the usual CRC finalization).
+uint32_t Finalized(ExtendFn fn, uint32_t crc, const void* data,
+                   std::size_t n) {
+  return ~fn(~crc, static_cast<const unsigned char*>(data), n);
+}
+
 }  // namespace
 
 uint32_t ExtendCrc32c(uint32_t crc, const void* data, std::size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  // Pre/post-invert so an all-zero buffer does not checksum to zero and
-  // appended zero bytes change the value (the usual CRC finalization).
-  crc = ~crc;
-#if defined(__SSE4_2__)
-  crc = HardwareExtend(crc, p, n);
-#else
-  crc = SoftwareExtend(crc, p, n);
-#endif
-  return ~crc;
+  return Finalized(Extend(), crc, data, n);
+}
+
+bool Crc32cUsesHardware() { return Extend() != SoftwareExtend; }
+
+uint32_t ExtendCrc32cSoftwareForTesting(uint32_t crc, const void* data,
+                                        std::size_t n) {
+  return Finalized(SoftwareExtend, crc, data, n);
 }
 
 }  // namespace fastppr

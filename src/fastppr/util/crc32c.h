@@ -12,6 +12,11 @@ namespace fastppr {
 /// chosen over CRC-32 for its better burst-error detection and because
 /// it is the storage-industry standard (iSCSI, ext4, RocksDB), so the
 /// on-disk artifacts stay checkable by external tooling.
+///
+/// On x86-64 CPUs with SSE4.2 the CRC32 instruction computes it; the
+/// choice is made once at run time, so a build without -msse4.2 still
+/// gets the instruction. Other CPUs use a slice-by-8 table. Both paths
+/// return identical values.
 
 /// Extends `crc` (the running CRC of all prior bytes, 0 for the first
 /// chunk) over `data[0, n)`. Streaming-composable:
@@ -22,6 +27,14 @@ uint32_t ExtendCrc32c(uint32_t crc, const void* data, std::size_t n);
 inline uint32_t Crc32c(const void* data, std::size_t n) {
   return ExtendCrc32c(0, data, n);
 }
+
+/// True iff ExtendCrc32c runs on the CRC32 instruction on this CPU.
+bool Crc32cUsesHardware();
+
+/// The slice-by-8 path regardless of the CPU, so tests can hold the
+/// hardware path to it.
+uint32_t ExtendCrc32cSoftwareForTesting(uint32_t crc, const void* data,
+                                        std::size_t n);
 
 }  // namespace fastppr
 

@@ -1,6 +1,8 @@
 #include "fastppr/util/file_io.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -23,11 +25,12 @@ Status ErrnoStatus(const std::string& op, const std::string& path) {
   return Status::IOError(msg);
 }
 
-/// Writes exactly n bytes to fd, looping over short writes and EINTR.
-Status WriteAll(int fd, const char* p, std::size_t n,
+/// Writes exactly n bytes to fd — at the file offset if `at` < 0, else
+/// at byte `at` — looping over short writes and EINTR.
+Status WriteAll(int fd, const char* p, std::size_t n, int64_t at,
                 const std::string& path) {
   while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
+    const ssize_t w = at < 0 ? ::write(fd, p, n) : ::pwrite(fd, p, n, at);
     if (w < 0) {
       if (errno == EINTR) continue;
       return ErrnoStatus("write", path);
@@ -35,8 +38,25 @@ Status WriteAll(int fd, const char* p, std::size_t n,
     if (w == 0) return Status::IOError("short write to " + path);
     p += w;
     n -= static_cast<std::size_t>(w);
+    if (at >= 0) at += w;
   }
   return Status::OK();
+}
+
+/// Charges a write of n bytes to the crash budget. If the injected kill
+/// lands inside it, persists the prefix the kernel would have accepted,
+/// then dies without unwinding.
+void ChargeCrashBudget(int fd, const char* p, std::size_t n, int64_t at,
+                       const std::string& path) {
+  const int64_t budget = g_crash_budget.load(std::memory_order_relaxed);
+  if (budget < 0) return;
+  if (static_cast<uint64_t>(budget) < n) {
+    const std::size_t prefix = static_cast<std::size_t>(budget);
+    if (prefix > 0) (void)WriteAll(fd, p, prefix, at, path);
+    ::_exit(kCrashInjectionExitCode);
+  }
+  g_crash_budget.store(budget - static_cast<int64_t>(n),
+                       std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -81,23 +101,22 @@ Status WritableFile::Open(const std::string& path, WritableFile* out) {
 Status WritableFile::Append(const void* data, std::size_t n) {
   if (fd_ < 0) return Status::IOError("append to closed file " + path_);
   const char* p = static_cast<const char*>(data);
-
-  const int64_t budget = g_crash_budget.load(std::memory_order_relaxed);
-  if (budget >= 0) {
-    if (static_cast<uint64_t>(budget) < n) {
-      // The injected kill lands inside this write: persist the prefix
-      // the kernel would have accepted, then die without unwinding.
-      const std::size_t prefix = static_cast<std::size_t>(budget);
-      if (prefix > 0) (void)WriteAll(fd_, p, prefix, path_);
-      ::_exit(kCrashInjectionExitCode);
-    }
-    g_crash_budget.store(budget - static_cast<int64_t>(n),
-                         std::memory_order_relaxed);
-  }
-
-  FASTPPR_RETURN_IF_ERROR(WriteAll(fd_, p, n, path_));
+  ChargeCrashBudget(fd_, p, n, /*at=*/-1, path_);
+  FASTPPR_RETURN_IF_ERROR(WriteAll(fd_, p, n, /*at=*/-1, path_));
   bytes_written_ += n;
   return Status::OK();
+}
+
+Status WritableFile::WriteAt(uint64_t offset, const void* data,
+                             std::size_t n) {
+  if (fd_ < 0) return Status::IOError("write to closed file " + path_);
+  if (offset > bytes_written_ || n > bytes_written_ - offset) {
+    return Status::InvalidArgument("WriteAt past the end of " + path_);
+  }
+  const char* p = static_cast<const char*>(data);
+  const int64_t at = static_cast<int64_t>(offset);
+  ChargeCrashBudget(fd_, p, n, at, path_);
+  return WriteAll(fd_, p, n, at, path_);
 }
 
 Status WritableFile::Sync() {
@@ -138,10 +157,20 @@ Status AtomicReplace(const std::string& tmp_path,
 Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return ErrnoStatus("open", path);
-  out->clear();
-  uint8_t buf[1 << 16];
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const Status s = ErrnoStatus("fstat", path);
+    ::close(fd);
+    return s;
+  }
+  // One spare byte past the fstat size: a read that fills it means the
+  // file grew, and the buffer doubles from there.
+  out->resize(static_cast<std::size_t>(st.st_size) + 1);
+  std::size_t filled = 0;
   for (;;) {
-    const ssize_t r = ::read(fd, buf, sizeof(buf));
+    if (filled == out->size()) out->resize(2 * out->size());
+    const ssize_t r =
+        ::read(fd, out->data() + filled, out->size() - filled);
     if (r < 0) {
       if (errno == EINTR) continue;
       const Status s = ErrnoStatus("read", path);
@@ -149,9 +178,69 @@ Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
       return s;
     }
     if (r == 0) break;
-    out->insert(out->end(), buf, buf + r);
+    filled += static_cast<std::size_t>(r);
   }
   ::close(fd);
+  out->resize(filled);
+  return Status::OK();
+}
+
+MappedFile::~MappedFile() { Unmap(); }
+
+MappedFile::MappedFile(MappedFile&& other) noexcept
+    : addr_(other.addr_), size_(other.size_) {
+  other.addr_ = nullptr;
+  other.size_ = 0;
+}
+
+MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
+  if (this != &other) {
+    Unmap();
+    addr_ = other.addr_;
+    size_ = other.size_;
+    other.addr_ = nullptr;
+    other.size_ = 0;
+  }
+  return *this;
+}
+
+void MappedFile::Unmap() {
+  if (addr_ != nullptr) ::munmap(addr_, size_);
+  addr_ = nullptr;
+  size_ = 0;
+}
+
+Status MappedFile::Open(const std::string& path, std::size_t min_size,
+                        MappedFile* out) {
+  out->Unmap();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return ErrnoStatus("open", path);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const Status s = ErrnoStatus("fstat", path);
+    ::close(fd);
+    return s;
+  }
+  const std::size_t size = static_cast<std::size_t>(st.st_size);
+  if (size < min_size) {
+    ::close(fd);
+    return Status::Corruption(path + ": shorter than " +
+                              std::to_string(min_size) + " bytes");
+  }
+  if (size == 0) {  // mmap rejects a zero length; nothing to map
+    ::close(fd);
+    return Status::OK();
+  }
+  void* addr =
+      ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE | MAP_POPULATE, fd, 0);
+  const int saved_errno = errno;
+  ::close(fd);  // the mapping keeps the inode alive
+  if (addr == MAP_FAILED) {
+    errno = saved_errno;
+    return ErrnoStatus("mmap", path);
+  }
+  out->addr_ = addr;
+  out->size_ = size;
   return Status::OK();
 }
 

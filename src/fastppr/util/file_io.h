@@ -27,8 +27,8 @@ namespace fastppr {
 /// arm the budget, and verify recovery in the parent.
 
 /// Arms (bytes >= 0) or disarms (bytes < 0) the crash-injection budget.
-/// The budget counts every byte passed to WritableFile::Append
-/// process-wide from this call on.
+/// The budget counts every byte passed to WritableFile::Append or
+/// WritableFile::WriteAt process-wide from this call on.
 void SetCrashAfterBytesForTesting(int64_t bytes);
 
 /// Exit code of an injected crash (distinguishes injected exits from
@@ -57,6 +57,11 @@ class WritableFile {
   /// Writes all `n` bytes (looping over short writes / EINTR).
   Status Append(const void* data, std::size_t n);
 
+  /// Overwrites `n` bytes at `offset` inside what was already appended
+  /// (a header patched once the body is written). The bytes count
+  /// against the crash-injection budget exactly like Append's.
+  Status WriteAt(uint64_t offset, const void* data, std::size_t n);
+
   /// fsync: everything appended so far is durable when this returns.
   Status Sync();
 
@@ -74,8 +79,40 @@ class WritableFile {
 Status AtomicReplace(const std::string& tmp_path,
                      const std::string& final_path);
 
-/// Reads the whole file into `out`. NotFound if it does not exist.
+/// Reads the whole file into `out`: sized once from fstat, then read in
+/// place (a file that grew after the fstat is still read to its end).
+/// NotFound if it does not exist.
 Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out);
+
+/// A whole file mapped read-only. MAP_POPULATE faults every page in at
+/// Open, so parsing does not stop on page faults. The mapping is
+/// released by the destructor. The caller must not let the file be
+/// truncated while it is mapped (reading a page past the new end raises
+/// SIGBUS); the durability layer only ever replaces its files by
+/// rename, which leaves a mapped inode intact.
+class MappedFile {
+ public:
+  MappedFile() = default;
+  ~MappedFile();
+  MappedFile(const MappedFile&) = delete;
+  MappedFile& operator=(const MappedFile&) = delete;
+  MappedFile(MappedFile&& other) noexcept;
+  MappedFile& operator=(MappedFile&& other) noexcept;
+
+  /// Maps `path`. NotFound if it does not exist; Corruption if fstat
+  /// says it is shorter than `min_size` (checked before mapping).
+  static Status Open(const std::string& path, std::size_t min_size,
+                     MappedFile* out);
+
+  const uint8_t* data() const { return static_cast<const uint8_t*>(addr_); }
+  std::size_t size() const { return size_; }
+
+ private:
+  void Unmap();
+
+  void* addr_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 bool FileExists(const std::string& path);
 

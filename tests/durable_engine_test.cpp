@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -19,6 +20,7 @@
 #include "fastppr/engine/sharded_engine.h"
 #include "fastppr/graph/generators.h"
 #include "fastppr/store/checkpoint.h"
+#include "fastppr/util/crc32c.h"
 #include "fastppr/util/file_io.h"
 
 namespace fastppr {
@@ -307,6 +309,98 @@ TEST(DurableEngineTest, CheckpointBoundsReplay) {
                   .ok());
   EXPECT_EQ(info.replayed_windows, 0u);
   EXPECT_EQ(recovered->SerializeState(), live.SerializeState());
+}
+
+/// The checkpoint frame as the format defines it, built by hand:
+/// magic | version | body_len | crc32c(body) | body.
+std::vector<uint8_t> FrameOf(const std::vector<uint8_t>& body) {
+  std::vector<uint8_t> out(kFrameHeaderSize);
+  const uint64_t len = body.size();
+  const uint32_t crc = Crc32c(body.data(), body.size());
+  std::memcpy(out.data(), &kCheckpointMagic, 8);
+  std::memcpy(out.data() + 8, &kCheckpointVersion, 4);
+  std::memcpy(out.data() + 12, &len, 8);
+  std::memcpy(out.data() + 20, &crc, 4);
+  out.insert(out.end(), body.begin(), body.end());
+  return out;
+}
+
+/// Replaces `path` with `bytes` in one append + rename: the way
+/// checkpoints were written before the writer streamed.
+void ReplaceWithBytes(const std::string& path,
+                      const std::vector<uint8_t>& bytes) {
+  WritableFile f;
+  ASSERT_TRUE(WritableFile::Open(path + ".tmp", &f).ok());
+  ASSERT_TRUE(f.Append(bytes.data(), bytes.size()).ok());
+  ASSERT_TRUE(f.Sync().ok());
+  ASSERT_TRUE(f.Close().ok());
+  ASSERT_TRUE(AtomicReplace(path + ".tmp", path).ok());
+}
+
+/// Pins the on-disk format: the streamed checkpoint file is exactly the
+/// frame of SerializeState(), and that frame written the old way (one
+/// buffer, one append) recovers bit-identically under the mapped reader.
+template <typename EngineT>
+void ExpectCheckpointIsFrameOfState(const std::string& tag,
+                                    std::size_t num_shards) {
+  const std::size_t n = 120;
+  const auto events = MixedStream(n, 4321, 0.15);
+  const std::string dir = FreshDir(tag);
+  ShardedOptions sharding;
+  sharding.num_shards = num_shards;
+  ShardedEngine<EngineT> live(n, Opts(55), sharding);
+  DurabilityOptions dopts;
+  dopts.directory = dir;
+  ASSERT_TRUE(live.EnableDurability(dopts).ok());
+  ApplyInWindows(&live, std::span<const EdgeEvent>(events), 37);
+  ASSERT_TRUE(live.Checkpoint().ok());
+
+  const std::string ckpt = dir + "/" + kCheckpointFileName;
+  const std::vector<uint8_t> state = live.SerializeState();
+  std::vector<uint8_t> file;
+  ASSERT_TRUE(ReadFileBytes(ckpt, &file).ok());
+  ASSERT_EQ(file, FrameOf(state)) << tag;
+
+  ReplaceWithBytes(ckpt, FrameOf(state));
+  std::unique_ptr<ShardedEngine<EngineT>> recovered;
+  const Status rs = ShardedEngine<EngineT>::Recover(dir, 1, &recovered);
+  ASSERT_TRUE(rs.ok()) << tag << ": " << rs.ToString();
+  EXPECT_EQ(recovered->SerializeState(), state) << tag;
+}
+
+TEST(DurableEngineTest, CheckpointFileIsFrameOfSerializeState) {
+  ExpectCheckpointIsFrameOfState<IncrementalPageRank>("frame_pr_s1", 1);
+  ExpectCheckpointIsFrameOfState<IncrementalPageRank>("frame_pr_s4", 4);
+  ExpectCheckpointIsFrameOfState<IncrementalSalsa>("frame_salsa_s1", 1);
+  ExpectCheckpointIsFrameOfState<IncrementalSalsa>("frame_salsa_s4", 4);
+}
+
+TEST(DurableEngineTest, ZeroLengthAndHeaderOnlyCheckpointsAreCorruption) {
+  const std::string dir = FreshDir("short_ckpt");
+  ShardedOptions sharding;
+  sharding.num_shards = 2;
+  ShardedEngine<IncrementalPageRank> live(40, Opts(6), sharding);
+  DurabilityOptions dopts;
+  dopts.directory = dir;
+  ASSERT_TRUE(live.EnableDurability(dopts).ok());
+  const std::string ckpt = dir + "/" + kCheckpointFileName;
+  std::vector<uint8_t> real;
+  ASSERT_TRUE(ReadFileBytes(ckpt, &real).ok());
+
+  const std::vector<std::vector<uint8_t>> cases = {
+      {},                                   // zero-length file
+      FrameOf({}),                          // valid frame, empty body
+      std::vector<uint8_t>(real.begin(),    // the real header alone
+                           real.begin() + kFrameHeaderSize),
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    ReplaceWithBytes(ckpt, cases[i]);
+    std::unique_ptr<ShardedEngine<IncrementalPageRank>> out;
+    const Status s =
+        ShardedEngine<IncrementalPageRank>::Recover(dir, 1, &out);
+    EXPECT_TRUE(s.IsCorruption()) << "case " << i << ": " << s.ToString();
+    EXPECT_EQ(out, nullptr);
+  }
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 // Engine-level snapshot/restore: the production restart path — persist
 // graph + walk segments, reload, and keep maintaining incrementally.
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fastppr/core/incremental_pagerank.h"
 #include "fastppr/graph/generators.h"
+#include "fastppr/store/checkpoint.h"
+#include "fastppr/util/file_io.h"
 
 namespace fastppr {
 namespace {
@@ -132,6 +136,44 @@ TEST(EngineSnapshotTest, EndpointOutsideSnapshotNodeCountIsCorruption) {
     EXPECT_EQ(restored, nullptr);
     std::filesystem::remove_all(dir);
   }
+}
+
+TEST(EngineSnapshotTest, HugeHeaderWithoutSegmentsIsCorruptionBeforeGraph) {
+  // A CRC-valid walks.bin whose header claims n = 2^32 - 2 nodes but
+  // whose body holds no segments. The header must be rejected against
+  // the body size before any graph is sized from n. The directory has
+  // no graph.txt at all: the walks file is validated before graph.txt
+  // is opened (let alone a 2^32-node graph allocated), so reaching
+  // either step would fail this test with IOError, not Corruption.
+  IncrementalPageRank engine(4, Opts(1, 0.2, 14));
+  const std::string dir = SnapshotDir("huge_header");
+  ASSERT_TRUE(engine.SaveSnapshot(dir).ok());
+  const std::string walks = dir + "/walks.bin";
+  std::vector<uint8_t> real;
+  ASSERT_TRUE(ReadFileBytes(walks, &real).ok());
+  uint64_t magic = 0;
+  std::memcpy(&magic, real.data(), sizeof(magic));
+  std::filesystem::remove(dir + "/graph.txt");
+
+  const uint64_t n = (uint64_t{1} << 32) - 2;
+  for (const uint64_t num_segments : {n, uint64_t{0}}) {
+    // Header: R, epsilon, n, segment count; then nothing.
+    const uint64_t walks_per_node = 1;
+    const double epsilon = 0.2;
+    std::vector<uint8_t> body(32);
+    std::memcpy(body.data(), &walks_per_node, 8);
+    std::memcpy(body.data() + 8, &epsilon, 8);
+    std::memcpy(body.data() + 16, &n, 8);
+    std::memcpy(body.data() + 24, &num_segments, 8);
+    ASSERT_TRUE(WriteFramedFile(walks, magic, body).ok());
+
+    std::unique_ptr<IncrementalPageRank> restored;
+    const Status s =
+        IncrementalPageRank::LoadSnapshot(dir, Opts(1, 0.2, 15), &restored);
+    EXPECT_TRUE(s.IsCorruption()) << num_segments << ": " << s.ToString();
+    EXPECT_EQ(restored, nullptr);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(EngineSnapshotTest, MissingDirectoryFails) {

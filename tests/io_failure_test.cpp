@@ -76,5 +76,36 @@ TEST(IoFailureTest, WritableFileToUnwritablePathFailsLoudly) {
   EXPECT_FALSE(f.is_open());
 }
 
+// The read side: ReadFileBytes sizes its buffer from fstat, but must not
+// trust that size. A procfs file reports st_size 0 and still has bytes,
+// which is the "file grew after the fstat" case made deterministic.
+TEST(IoFailureTest, ReadFileBytesReadsPastTheFstatSize) {
+  std::vector<uint8_t> bytes;
+  const Status s = ReadFileBytes("/proc/self/status", &bytes);
+  if (s.IsNotFound()) GTEST_SKIP() << "procfs unavailable";
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_GT(bytes.size(), 5u);
+  EXPECT_EQ(std::string(bytes.begin(), bytes.begin() + 5), "Name:");
+}
+
+TEST(IoFailureTest, ReadFileBytesRoundTripsAndReportsNotFound) {
+  const std::string path = testing::TempDir() + "/read_file_bytes.bin";
+  std::vector<uint8_t> data(100000);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 131);
+  }
+  {
+    WritableFile f;
+    ASSERT_TRUE(WritableFile::Open(path, &f).ok());
+    ASSERT_TRUE(f.Append(data.data(), data.size()).ok());
+    ASSERT_TRUE(f.Close().ok());
+  }
+  std::vector<uint8_t> read = {1, 2, 3};  // stale contents are replaced
+  ASSERT_TRUE(ReadFileBytes(path, &read).ok());
+  EXPECT_EQ(read, data);
+  std::remove(path.c_str());
+  EXPECT_TRUE(ReadFileBytes(path, &read).IsNotFound());
+}
+
 }  // namespace
 }  // namespace fastppr

@@ -89,7 +89,7 @@ TEST(WalkStoreIoTest, MissingFileIsNotFound) {
   EXPECT_TRUE(LoadWalkStore("/no/such/file.bin", g, &loaded).IsNotFound());
 }
 
-TEST(WalkStoreIoTest, PeeksNodeCount) {
+TEST(WalkStoreIoTest, ReaderExposesNodeCountThenLoads) {
   Rng rng(11);
   auto edges = ErdosRenyi(25, 150, &rng);
   DiGraph g = BuildGraph(25, edges);
@@ -98,10 +98,14 @@ TEST(WalkStoreIoTest, PeeksNodeCount) {
   const std::string path = testing::TempDir() + "/walk_store_peek.bin";
   ASSERT_TRUE(SaveWalkStore(store, path).ok());
 
-  uint64_t n = 0;
-  ASSERT_TRUE(PeekWalkStoreNodeCount(path, &n).ok());
-  EXPECT_EQ(n, 25u);
-  EXPECT_TRUE(PeekWalkStoreNodeCount("/no/such/file.bin", &n).IsNotFound());
+  WalkSnapshotReader snap;
+  ASSERT_TRUE(WalkSnapshotReader::Open(path, &snap).ok());
+  EXPECT_EQ(snap.num_nodes(), 25u);
+  WalkStore loaded;
+  ASSERT_TRUE(snap.LoadInto(g, &loaded).ok());
+  EXPECT_EQ(loaded.TotalVisits(), store.TotalVisits());
+  EXPECT_TRUE(
+      WalkSnapshotReader::Open("/no/such/file.bin", &snap).IsNotFound());
   std::remove(path.c_str());
 }
 
