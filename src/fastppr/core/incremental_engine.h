@@ -52,6 +52,7 @@ class IncrementalEngine {
   static constexpr bool kIsSalsa = std::same_as<Kind, SalsaWalk>;
 
  public:
+  using WalkKind = Kind;
   using Store = BasicWalkStore<Kind>;
 
   /// An engine over an initially empty graph with `num_nodes` nodes.

@@ -4,30 +4,41 @@
 #include <unordered_set>
 
 namespace fastppr {
+namespace {
 
-std::vector<ScoredNode> RankVisits(
-    const std::unordered_map<NodeId, int64_t>& counts, std::size_t k,
-    uint64_t walk_length, const std::vector<NodeId>& exclude) {
-  std::unordered_set<NodeId> skip(exclude.begin(), exclude.end());
-  std::vector<ScoredNode> ranked;
-  ranked.reserve(counts.size());
-  for (const auto& [node, visits] : counts) {
-    if (skip.count(node)) continue;
-    ScoredNode s;
-    s.node = node;
-    s.visits = visits;
-    s.score = walk_length > 0 ? static_cast<double>(visits) /
-                                    static_cast<double>(walk_length)
-                              : 0.0;
-    ranked.push_back(s);
-  }
-  const std::size_t take = std::min(k, ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + take, ranked.end(),
+/// A ranking candidate; its score is the visit frequency in the walk.
+ScoredNode Scored(NodeId node, int64_t visits, uint64_t walk_length) {
+  return {node, visits,
+          walk_length > 0 ? static_cast<double>(visits) /
+                                static_cast<double>(walk_length)
+                          : 0.0};
+}
+
+/// Moves the k best candidates to the front in rank order (visits desc,
+/// node asc) and returns how many there are.
+std::size_t SortTop(std::vector<ScoredNode>* candidates, std::size_t k) {
+  const std::size_t take = std::min(k, candidates->size());
+  std::partial_sort(candidates->begin(), candidates->begin() + take,
+                    candidates->end(),
                     [](const ScoredNode& a, const ScoredNode& b) {
                       if (a.visits != b.visits) return a.visits > b.visits;
                       return a.node < b.node;
                     });
-  ranked.resize(take);
+  return take;
+}
+
+}  // namespace
+
+std::vector<ScoredNode> RankVisits(const VisitCounts& counts, std::size_t k,
+                                   uint64_t walk_length,
+                                   const std::vector<NodeId>& exclude) {
+  std::unordered_set<NodeId> skip(exclude.begin(), exclude.end());
+  std::vector<ScoredNode> ranked;
+  ranked.reserve(counts.size());
+  for (const auto& [v, visits] : counts) {
+    if (!skip.count(v)) ranked.push_back(Scored(v, visits, walk_length));
+  }
+  ranked.resize(SortTop(&ranked, k));
   return ranked;
 }
 
@@ -37,22 +48,10 @@ void RankVisitsDenseInto(const std::vector<int64_t>& counts,
                          uint64_t walk_length, std::vector<ScoredNode>* tmp,
                          std::vector<ScoredNode>* ranked) {
   tmp->clear();
-  for (NodeId node : touched) {
-    if (excluded[node]) continue;
-    ScoredNode s;
-    s.node = node;
-    s.visits = counts[node];
-    s.score = walk_length > 0 ? static_cast<double>(s.visits) /
-                                    static_cast<double>(walk_length)
-                              : 0.0;
-    tmp->push_back(s);
+  for (NodeId v : touched) {
+    if (!excluded[v]) tmp->push_back(Scored(v, counts[v], walk_length));
   }
-  const std::size_t take = std::min(k, tmp->size());
-  std::partial_sort(tmp->begin(), tmp->begin() + take, tmp->end(),
-                    [](const ScoredNode& a, const ScoredNode& b) {
-                      if (a.visits != b.visits) return a.visits > b.visits;
-                      return a.node < b.node;
-                    });
+  const std::size_t take = SortTop(tmp, k);
   ranked->assign(tmp->begin(), tmp->begin() + take);
 }
 

@@ -1,346 +1,16 @@
 #ifndef FASTPPR_CORE_SALSA_WALKER_H_
 #define FASTPPR_CORE_SALSA_WALKER_H_
 
-#include <concepts>
-#include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
-
 #include "fastppr/core/ppr_walker.h"
-#include "fastppr/graph/types.h"
 #include "fastppr/store/salsa_walk_store.h"
-#include "fastppr/store/social_store.h"
-#include "fastppr/util/check.h"
-#include "fastppr/util/random.h"
-#include "fastppr/util/status.h"
 
 namespace fastppr {
 
-/// Outcome of one stitched personalized SALSA walk. Hub-side and
-/// authority-side visits are tracked separately: a friend recommender
-/// ranks by authority score (relevance), Section 1.1 of the paper.
-struct SalsaWalkResult {
-  std::unordered_map<NodeId, int64_t> hub_counts;
-  std::unordered_map<NodeId, int64_t> authority_counts;
-  uint64_t length = 0;
-  uint64_t fetches = 0;
-  uint64_t segments_used = 0;
-  uint64_t manual_steps = 0;
-  uint64_t resets = 0;
-};
-
-/// Reusable per-thread scratch for batched TopKAuthoritiesInto — the
-/// SALSA analogue of PersonalizedWalkScratch: dense hub/authority count
-/// arrays plus per-direction consumed-segment slots, allocated once and
-/// reset in O(nodes touched) between walks. Prepare() self-heals from
-/// the touched lists even after a mid-walk abort.
-struct SalsaWalkScratch {
-  std::vector<int64_t> hub_counts;
-  std::vector<int64_t> authority_counts;
-  std::vector<NodeId> hub_visited;
-  std::vector<NodeId> authority_visited;
-  /// Consumed slots are only ever written for fetched nodes, so the
-  /// `fetched_nodes` list is sufficient to reset both of them.
-  std::vector<uint32_t> used_fwd;
-  std::vector<uint32_t> used_bwd;
-  std::vector<uint8_t> fetched;
-  std::vector<NodeId> fetched_nodes;
-  std::vector<uint8_t> excluded;
-  std::vector<NodeId> excluded_nodes;
-  std::vector<ScoredNode> ranked_tmp;
-
-  void Prepare(std::size_t num_nodes) {
-    if (hub_counts.size() != num_nodes) {
-      hub_counts.assign(num_nodes, 0);
-      authority_counts.assign(num_nodes, 0);
-      used_fwd.assign(num_nodes, 0);
-      used_bwd.assign(num_nodes, 0);
-      fetched.assign(num_nodes, 0);
-      excluded.assign(num_nodes, 0);
-    } else {
-      for (NodeId v : hub_visited) hub_counts[v] = 0;
-      for (NodeId v : authority_visited) authority_counts[v] = 0;
-      for (NodeId v : fetched_nodes) {
-        used_fwd[v] = 0;
-        used_bwd[v] = 0;
-        fetched[v] = 0;
-      }
-      for (NodeId v : excluded_nodes) excluded[v] = 0;
-    }
-    hub_visited.clear();
-    authority_visited.clear();
-    fetched_nodes.clear();
-    excluded_nodes.clear();
-  }
-
-  void MarkExcluded(NodeId v) {
-    if (!excluded[v]) {
-      excluded[v] = 1;
-      excluded_nodes.push_back(v);
-    }
-  }
-};
-
-/// Algorithm 1 adapted to personalized SALSA: the walk alternates forward
-/// and backward steps, resets (to the seed, in hub role) only before
-/// forward steps, and stitches the stored SalsaWalkStore segments whose
-/// start direction matches the walk's current parity.
-///
-/// `StoreView` abstracts where the segments live (flat SalsaWalkStore, a
-/// sharded view routing to the shard owning each node, or a frozen
-/// snapshot view); it must provide walks_per_node(), epsilon() and
-/// GetSegment(node, k). `GraphView` abstracts the adjacency (live
-/// DiGraph, or a FrozenAdjacency captured WITH its in-side — SALSA walks
-/// step backwards).
-template <typename StoreView, typename GraphView = DiGraph>
-class BasicPersonalizedSalsaWalker {
- public:
-  BasicPersonalizedSalsaWalker(const StoreView* store,
-                               const GraphView* graph,
-                               WalkerOptions options = WalkerOptions())
-      : store_(store), graph_(graph), options_(options) {
-    FASTPPR_CHECK(store_ != nullptr && graph_ != nullptr);
-  }
-
-  /// Flat-deployment convenience: walks the social store's (uncounted)
-  /// local graph replica.
-  BasicPersonalizedSalsaWalker(const StoreView* store,
-                               const SocialStore* social,
-                               WalkerOptions options = WalkerOptions())
-    requires std::same_as<GraphView, DiGraph>
-      : BasicPersonalizedSalsaWalker(store, CheckedGraph(social),
-                                     options) {}
-
-  Status Walk(NodeId seed, uint64_t length, uint64_t rng_seed,
-              SalsaWalkResult* out) const {
-    if (seed >= graph_->num_nodes()) {
-      return Status::InvalidArgument("seed node out of range");
-    }
-    *out = SalsaWalkResult{};
-    MapWalkState state{out, {}, {}, {}};
-    return WalkCore(seed, length, rng_seed, state, out);
-  }
-
-  /// k highest-authority nodes accumulated into a reusable dense scratch
-  /// — bit-identical to TopKAuthorities() at the same (seed, length,
-  /// rng_seed); see BasicPersonalizedPageRankWalker::TopKInto.
-  Status TopKAuthoritiesInto(NodeId seed, std::size_t k, uint64_t length,
-                             bool exclude_friends, uint64_t rng_seed,
-                             SalsaWalkScratch* scratch,
-                             std::vector<ScoredNode>* ranked,
-                             SalsaWalkResult* walk_stats = nullptr) const {
-    FASTPPR_CHECK(scratch != nullptr && ranked != nullptr);
-    if (seed >= graph_->num_nodes()) {
-      return Status::InvalidArgument("seed node out of range");
-    }
-    scratch->Prepare(graph_->num_nodes());
-    SalsaWalkResult local;
-    SalsaWalkResult* stats = walk_stats != nullptr ? walk_stats : &local;
-    *stats = SalsaWalkResult{};
-    DenseWalkState state{scratch};
-    FASTPPR_RETURN_IF_ERROR(WalkCore(seed, length, rng_seed, state, stats));
-    scratch->MarkExcluded(seed);
-    if (exclude_friends) {
-      for (NodeId v : graph_->OutNeighbors(seed)) {
-        scratch->MarkExcluded(v);
-      }
-    }
-    RankVisitsDenseInto(scratch->authority_counts,
-                        scratch->authority_visited, scratch->excluded, k,
-                        stats->length, &scratch->ranked_tmp, ranked);
-    return Status::OK();
-  }
-
-  /// k highest-authority nodes of a stitched walk, excluding the seed and
-  /// (optionally) its direct out-neighbours.
-  Status TopKAuthorities(NodeId seed, std::size_t k, uint64_t length,
-                         bool exclude_friends, uint64_t rng_seed,
-                         std::vector<ScoredNode>* ranked,
-                         SalsaWalkResult* walk_stats = nullptr) const {
-    SalsaWalkResult walk;
-    FASTPPR_RETURN_IF_ERROR(Walk(seed, length, rng_seed, &walk));
-    std::vector<NodeId> exclude{seed};
-    if (exclude_friends) {
-      for (NodeId v : graph_->OutNeighbors(seed)) {
-        exclude.push_back(v);
-      }
-    }
-    *ranked = RankVisits(walk.authority_counts, k, walk.length, exclude);
-    if (walk_stats != nullptr) *walk_stats = std::move(walk);
-    return Status::OK();
-  }
-
- private:
-  /// Accumulation policies for WalkCore (see the PageRank walker's
-  /// MapWalkState/DenseWalkState). SALSA splits the consumed-segment
-  /// slots by start direction and gates the fetch charge on a separate
-  /// fetched set; both states expose:
-  ///   Visit(v, hub)       — count one appended position on that side
-  ///   Fetched(v)          — has v's data been fetched this walk?
-  ///   MarkFetched(v)      — record the fetch (after the charge)
-  ///   Consumed(v, hub)    — consumed-segment slot for that direction
-  struct MapWalkState {
-    SalsaWalkResult* out;
-    std::unordered_map<NodeId, uint32_t> used_fwd;
-    std::unordered_map<NodeId, uint32_t> used_bwd;
-    std::unordered_set<NodeId> fetched;
-    void Visit(NodeId v, bool hub) {
-      if (hub) {
-        ++out->hub_counts[v];
-      } else {
-        ++out->authority_counts[v];
-      }
-    }
-    bool Fetched(NodeId v) const { return fetched.count(v) != 0; }
-    void MarkFetched(NodeId v) { fetched.insert(v); }
-    uint32_t& Consumed(NodeId v, bool hub) {
-      return hub ? used_fwd[v] : used_bwd[v];
-    }
-  };
-
-  struct DenseWalkState {
-    SalsaWalkScratch* s;
-    void Visit(NodeId v, bool hub) {
-      if (hub) {
-        if (s->hub_counts[v] == 0) s->hub_visited.push_back(v);
-        ++s->hub_counts[v];
-      } else {
-        if (s->authority_counts[v] == 0) s->authority_visited.push_back(v);
-        ++s->authority_counts[v];
-      }
-    }
-    bool Fetched(NodeId v) const { return s->fetched[v] != 0; }
-    void MarkFetched(NodeId v) {
-      s->fetched[v] = 1;
-      s->fetched_nodes.push_back(v);
-    }
-    uint32_t& Consumed(NodeId v, bool hub) {
-      return hub ? s->used_fwd[v] : s->used_bwd[v];
-    }
-  };
-
-  /// The walk loop shared by the map-based and dense paths; only the
-  /// accumulation containers differ, so the RNG stream and counters are
-  /// identical across them by construction. Callers have validated the
-  /// seed and reset `out`'s counters.
-  template <typename State>
-  Status WalkCore(NodeId seed, uint64_t length, uint64_t rng_seed,
-                  State& state, SalsaWalkResult* out) const {
-    // Deadline contract identical to the PageRank walker: zero
-    // accumulation when already expired, cooperative poll every
-    // `deadline_check_stride` appended positions afterwards.
-    const serve::Deadline& deadline = options_.deadline;
-    if (deadline.expired()) {
-      return Status::DeadlineExceeded("walk deadline expired");
-    }
-    const uint64_t stride =
-        options_.deadline_check_stride == 0 ? 1
-                                            : options_.deadline_check_stride;
-    uint64_t next_deadline_poll = stride;
-    Rng rng(rng_seed);
-    const std::size_t R = store_->walks_per_node();
-    const double eps = store_->epsilon();
-    const GraphView& g = *graph_;
-
-    // Parity: true = hub side (a forward step is due), false = authority.
-    bool hub_side = true;
-    NodeId cur = seed;
-
-    auto visit = [&state, out](NodeId v, bool hub) {
-      state.Visit(v, hub);
-      ++out->length;
-    };
-    auto charge_fetch = [this, out]() -> bool {
-      ++out->fetches;
-      return options_.max_fetches == 0 ||
-             out->fetches <= options_.max_fetches;
-    };
-    auto reset_to_seed = [&]() {
-      visit(seed, /*hub=*/true);
-      ++out->resets;
-      cur = seed;
-      hub_side = true;
-    };
-
-    visit(seed, /*hub=*/true);
-    while (out->length < length) {
-      if (deadline.has_deadline() && out->length >= next_deadline_poll) {
-        if (deadline.expired()) {
-          return Status::DeadlineExceeded("walk deadline expired");
-        }
-        next_deadline_poll = out->length + stride;
-      }
-      if (!state.Fetched(cur)) {
-        if (!charge_fetch()) {
-          return Status::ResourceExhausted("fetch budget exhausted");
-        }
-        state.MarkFetched(cur);
-      }
-      uint32_t& consumed = state.Consumed(cur, hub_side);
-      if (consumed < R) {
-        // Stored segments with matching start direction: [0, R) are
-        // forward-start, [R, 2R) are backward-start.
-        const std::size_t slot = hub_side ? consumed : R + consumed;
-        const auto seg = store_->GetSegment(cur, slot);
-        ++consumed;
-        ++out->segments_used;
-        bool side = hub_side;
-        for (std::size_t p = 1; p < seg.size() && out->length < length;
-             ++p) {
-          side = !side;
-          visit(seg.node(p), side);
-        }
-        if (out->length < length) reset_to_seed();
-        continue;
-      }
-      // Manual simulation.
-      if (hub_side) {
-        if (rng.Bernoulli(eps)) {
-          reset_to_seed();
-          continue;
-        }
-        if (options_.fetch_mode == FetchMode::kSegmentsAndOneEdge &&
-            !charge_fetch()) {
-          return Status::ResourceExhausted("fetch budget exhausted");
-        }
-        if (g.OutDegree(cur) == 0) {
-          reset_to_seed();
-          continue;
-        }
-        cur = g.RandomOutNeighbor(cur, &rng);
-        hub_side = false;
-      } else {
-        if (options_.fetch_mode == FetchMode::kSegmentsAndOneEdge &&
-            !charge_fetch()) {
-          return Status::ResourceExhausted("fetch budget exhausted");
-        }
-        if (g.InDegree(cur) == 0) {
-          reset_to_seed();
-          continue;
-        }
-        cur = g.RandomInNeighbor(cur, &rng);
-        hub_side = true;
-      }
-      ++out->manual_steps;
-      visit(cur, hub_side);
-    }
-    return Status::OK();
-  }
-
-  /// Aborts (instead of dereferencing) on a null social store.
-  static const DiGraph* CheckedGraph(const SocialStore* social) {
-    FASTPPR_CHECK(social != nullptr);
-    return &social->graph();
-  }
-
-  const StoreView* store_;
-  const GraphView* graph_;
-  WalkerOptions options_;
-};
-
-/// The flat (single-store) walker used throughout the reproduction.
-using PersonalizedSalsaWalker = BasicPersonalizedSalsaWalker<SalsaWalkStore>;
+/// Algorithm 1 adapted to personalized SALSA (Section 2.3): the one
+/// personalized walker with the SalsaWalk kind — alternating steps, 2R
+/// stored segments per node, and TopK ranked by authority visits.
+using PersonalizedSalsaWalker =
+    BasicPersonalizedWalker<SalsaWalk, SalsaWalkStore>;
 
 }  // namespace fastppr
 

@@ -46,13 +46,11 @@
 #include <mutex>
 #include <span>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "fastppr/core/ppr_walker.h"
 #include "fastppr/core/ranking.h"
-#include "fastppr/core/salsa_walker.h"
 #include "fastppr/engine/ingest_pipeline.h"
 #include "fastppr/engine/sharded_engine.h"
 #include "fastppr/graph/types.h"
@@ -87,14 +85,16 @@ struct SnapshotInfo {
 /// Publish() (full snapshot rebuild) before the next read.
 template <typename Engine>
 class QueryService : private ShardedEngine<Engine>::BoundarySink {
-  static constexpr bool kIsSalsa =
-      requires(const Engine& e) { e.AuthorityEstimate(NodeId{0}); };
   using Ctx = typename ShardedEngine<Engine>::BoundaryContext;
   /// Boundary→publisher queue depth (pipelined engine mode): how many
   /// captured-but-unassembled windows may stack up before window
   /// boundaries backpressure on the publisher.
   static constexpr std::size_t kPublishQueueCap = 4;
   struct FrozenViewSet;
+  class FrozenSegmentView;
+  /// The one personalized walker, over the pinned frozen views.
+  using Walker = BasicPersonalizedWalker<typename Engine::WalkKind,
+                                         FrozenSegmentView, FrozenAdjacency>;
 
  public:
   /// Length of the sorted (node, count) prefix every publish selects.
@@ -108,11 +108,12 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   static constexpr std::size_t kCountPrefix = 128;
 
   /// Per-query walk statistics type (differs between the two engines).
-  using WalkStats =
-      std::conditional_t<kIsSalsa, SalsaWalkResult, PersonalizedWalkResult>;
+  using WalkStats = typename Walker::Result;
 
   explicit QueryService(ShardedEngine<Engine>* engine)
-      : engine_(engine), adj_builder_(/*capture_in=*/kIsSalsa) {
+      : engine_(engine),
+        // SALSA walks step backwards: capture the in-side too.
+        adj_builder_(/*capture_in=*/Engine::WalkKind::kDirections == 2) {
     FASTPPR_CHECK(engine_ != nullptr);
     om_ = engine_->metric_handles();
     engine_->EnableAppliedEdgeTracking();
@@ -438,18 +439,10 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     if (info != nullptr) *info = FrozenInfo(set);
     const FrozenSegmentView view(&set.segments, set.ownership.get(),
                                  walks_per_node_, epsilon_);
-    Status status;
-    if constexpr (kIsSalsa) {
-      BasicPersonalizedSalsaWalker<FrozenSegmentView, FrozenAdjacency>
-          walker(&view, set.graph.get(), options);
-      status = walker.TopKAuthorities(seed, k, length, exclude_friends,
-                                      rng_seed, ranked, walk_stats);
-    } else {
-      BasicPersonalizedPageRankWalker<FrozenSegmentView, FrozenAdjacency>
-          walker(&view, set.graph.get(), options);
-      status = walker.TopK(seed, k, length, exclude_friends, rng_seed,
-                           ranked, walk_stats);
-    }
+    const Status status =
+        Walker(&view, set.graph.get(), options)
+            .TopK(seed, k, length, exclude_friends, rng_seed, ranked,
+                  walk_stats);
     if (hot) om_.query_personalized->Record(obs::NowNanos() - t0);
     return status;
   }
@@ -473,8 +466,7 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
 
   /// The reusable walker scratch batched execution shares across items
   /// (serve/batcher.h owns one per worker thread).
-  using PersonalizedScratch =
-      std::conditional_t<kIsSalsa, SalsaWalkScratch, PersonalizedWalkScratch>;
+  using PersonalizedScratch = typename Walker::Scratch;
 
   /// Batched PersonalizedTopK: pins the frozen view ONCE for the whole
   /// batch — one shared_ptr copy and one audited SnapshotInfo instead of
@@ -507,19 +499,9 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
         q.service_ns = clock() - t0;
         continue;
       }
-      if constexpr (kIsSalsa) {
-        BasicPersonalizedSalsaWalker<FrozenSegmentView, FrozenAdjacency>
-            walker(&view, set.graph.get(), q.options);
-        q.status = walker.TopKAuthoritiesInto(q.seed, q.k, q.walk_length,
-                                              q.exclude_friends, q.rng_seed,
-                                              scratch, &q.ranked);
-      } else {
-        BasicPersonalizedPageRankWalker<FrozenSegmentView, FrozenAdjacency>
-            walker(&view, set.graph.get(), q.options);
-        q.status = walker.TopKInto(q.seed, q.k, q.walk_length,
-                                   q.exclude_friends, q.rng_seed, scratch,
-                                   &q.ranked);
-      }
+      q.status = Walker(&view, set.graph.get(), q.options)
+                     .TopKInto(q.seed, q.k, q.walk_length, q.exclude_friends,
+                               q.rng_seed, scratch, &q.ranked);
       q.service_ns = clock() - t0;
       if (hot) om_.query_personalized->Record(q.service_ns);
     }

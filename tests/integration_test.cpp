@@ -124,8 +124,8 @@ TEST(IntegrationTest, SalsaRecommendationsOnEvolvedStore) {
                                  &engine.social_store());
   std::vector<ScoredNode> recs;
   ASSERT_TRUE(walker
-                  .TopKAuthorities(50, 10, 50000, /*exclude_friends=*/true,
-                                   10, &recs)
+                  .TopK(50, 10, 50000, /*exclude_friends=*/true, 10,
+                        &recs)
                   .ok());
   EXPECT_FALSE(recs.empty());
   // Recommendations correlate with the exact personalized SALSA ranking.

@@ -2,7 +2,10 @@
 // length accounting, multigraph switch fractions, and distribution
 // properties not covered by the per-module suites.
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
@@ -235,6 +238,135 @@ TEST(PowerIterationAgreementTest, PaperVsVisitNormalization) {
   for (NodeId v = 0; v < 20; ++v) {
     EXPECT_NEAR(engine.Estimate(v), engine.NormalizedEstimate(v),
                 0.3 * engine.NormalizedEstimate(v) + 0.002);
+  }
+}
+
+// ---- personalized walk stream golden --------------------------------
+//
+// Pins the personalized walker's RNG stream, stitching and fetch
+// accounting across commits: every counter and every ranked entry of
+// Walk / TopK / TopKInto is folded into one FNV-1a hash per (walk kind,
+// fetch mode) and compared against constants recorded from an earlier
+// build. The batched-vs-unbatched differentials cannot catch a drift of
+// the shared walk core (both sides would move together); this can. A
+// deliberate change to the walk stream must re-record the constants.
+
+struct Fnv {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  void Add(uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  template <typename Result>
+  void AddCounters(const Result& r) {
+    Add(r.length);
+    Add(r.fetches);
+    Add(r.segments_used);
+    Add(r.manual_steps);
+    Add(r.resets);
+  }
+  void AddCounts(const std::unordered_map<NodeId, int64_t>& counts) {
+    const std::map<NodeId, int64_t> sorted(counts.begin(), counts.end());
+    Add(sorted.size());
+    for (const auto& [node, visits] : sorted) {
+      Add(node);
+      Add(static_cast<uint64_t>(visits));
+    }
+  }
+  void AddRanked(const std::vector<ScoredNode>& ranked) {
+    Add(ranked.size());
+    for (const ScoredNode& s : ranked) {
+      Add(s.node);
+      Add(static_cast<uint64_t>(s.visits));
+      Add(std::bit_cast<uint64_t>(s.score));
+    }
+  }
+};
+
+// ErdosRenyi on the first 60 of 70 nodes, plus 5 -> 65 (65 has no
+// out-edge: a forward dangling end) and 66 -> 5 (66 has no in-edge: a
+// backward dangling end); 67..69 stay isolated.
+template <typename Kind>
+struct GoldenFixture {
+  GoldenFixture() : social(70) {
+    Rng rng(31);
+    for (const Edge& e : ErdosRenyi(60, 420, &rng)) {
+      EXPECT_TRUE(social.AddEdge(e.src, e.dst).ok());
+    }
+    EXPECT_TRUE(social.AddEdge(5, 65).ok());
+    EXPECT_TRUE(social.AddEdge(66, 5).ok());
+    store.Init(social.graph(), /*R=*/3, /*eps=*/0.2, 32);
+  }
+  SocialStore social;
+  BasicWalkStore<Kind> store;
+};
+
+struct GoldenCase {
+  NodeId seed;
+  uint64_t length;
+  uint64_t rng_seed;
+};
+constexpr GoldenCase kGoldenCases[] = {
+    {0, 1, 5}, {3, 17, 9}, {65, 40, 10}, {66, 500, 12},
+    {7, 3000, 11}, {12, 20000, 13}, {69, 30, 14},
+};
+
+// Runs every golden case through Walk (its visit maps in direction
+// order), TopK and TopKInto (one scratch reused across cases) and
+// hashes the results.
+template <typename Kind>
+uint64_t GoldenHash(FetchMode mode) {
+  using Walker = BasicPersonalizedWalker<Kind, BasicWalkStore<Kind>>;
+  using Result = typename Walker::Result;
+  GoldenFixture<Kind> f;
+  WalkerOptions options;
+  options.fetch_mode = mode;
+  const Walker walker(&f.store, &f.social, options);
+  Fnv fnv;
+  typename Walker::Scratch scratch;
+  for (const GoldenCase& c : kGoldenCases) {
+    Result walk;
+    EXPECT_TRUE(walker.Walk(c.seed, c.length, c.rng_seed, &walk).ok());
+    fnv.AddCounters(walk);
+    for (uint32_t d = 0; d < Kind::kDirections; ++d) {
+      fnv.AddCounts(walk.counts(d));
+    }
+    for (bool exclude_friends : {false, true}) {
+      std::vector<ScoredNode> ranked;
+      Result stats;
+      EXPECT_TRUE(walker
+                      .TopK(c.seed, 10, c.length, exclude_friends,
+                            c.rng_seed, &ranked, &stats)
+                      .ok());
+      fnv.AddRanked(ranked);
+      fnv.AddCounters(stats);
+      std::vector<ScoredNode> dense;
+      Result dense_stats;
+      EXPECT_TRUE(walker
+                      .TopKInto(c.seed, 10, c.length, exclude_friends,
+                                c.rng_seed, &scratch, &dense, &dense_stats)
+                      .ok());
+      fnv.AddRanked(dense);
+      fnv.AddCounters(dense_stats);
+    }
+  }
+  return fnv.h;
+}
+
+TEST(WalkStreamGoldenTest, PageRankAndSalsaWalksMatchRecordedHashes) {
+  constexpr FetchMode kModes[] = {FetchMode::kSegmentsAndAllEdges,
+                                  FetchMode::kSegmentsAndOneEdge};
+  const uint64_t kPageRankGolden[] = {0xfd08a7c5446f9a9bULL,
+                                      0xdbfcd17f16c2dc38ULL};
+  const uint64_t kSalsaGolden[] = {0x88436f90f6f4606cULL,
+                                   0xd75fb665b838652fULL};
+  for (int m = 0; m < 2; ++m) {
+    EXPECT_EQ(GoldenHash<PageRankWalk>(kModes[m]), kPageRankGolden[m])
+        << "fetch mode " << m;
+    EXPECT_EQ(GoldenHash<SalsaWalk>(kModes[m]), kSalsaGolden[m])
+        << "fetch mode " << m;
   }
 }
 

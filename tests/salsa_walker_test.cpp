@@ -74,8 +74,8 @@ TEST(SalsaWalkerTest, TopKAuthoritiesExcludesFriends) {
   std::vector<ScoredNode> ranked;
   const NodeId seed = 9;
   ASSERT_TRUE(walker
-                  .TopKAuthorities(seed, 8, 20000, /*exclude_friends=*/true,
-                                   6, &ranked)
+                  .TopK(seed, 8, 20000, /*exclude_friends=*/true, 6,
+                        &ranked)
                   .ok());
   for (const ScoredNode& s : ranked) {
     EXPECT_NE(s.node, seed);

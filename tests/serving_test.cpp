@@ -242,8 +242,9 @@ TEST(RetryTest, AttemptBudget) {
   EXPECT_EQ(backoff.attempts_consumed(), 2u);
 }
 
-// ---- walker deadline cancellation -----------------------------------
+// ---- walker deadline cancellation (both walk kinds) -----------------
 
+template <typename Kind>
 struct FlatFixture {
   explicit FlatFixture(std::size_t n, std::size_t m, uint64_t seed)
       : social(n) {
@@ -255,53 +256,67 @@ struct FlatFixture {
     store.Init(social.graph(), /*R=*/3, /*eps=*/0.2, seed + 1);
   }
   SocialStore social;
-  WalkStore store;
+  BasicWalkStore<Kind> store;
 };
 
-TEST(WalkerDeadlineTest, ExpiredDeadlineDoesZeroAccumulation) {
-  FlatFixture f(50, 400, 11);
+template <typename Kind>
+class WalkerDeadlineTest : public ::testing::Test {
+ protected:
+  using Walker = BasicPersonalizedWalker<Kind, BasicWalkStore<Kind>>;
+  using Result = typename Walker::Result;
+  static constexpr uint32_t kDirs = Kind::kDirections;
+};
+using WalkKinds = ::testing::Types<PageRankWalk, SalsaWalk>;
+TYPED_TEST_SUITE(WalkerDeadlineTest, WalkKinds);
+
+TYPED_TEST(WalkerDeadlineTest, ExpiredDeadlineDoesZeroAccumulation) {
+  FlatFixture<TypeParam> f(50, 400, 11);
   WalkerOptions opts;
   opts.deadline = Deadline::Expired(&FakeNow);
-  PersonalizedPageRankWalker walker(&f.store, &f.social, opts);
-  PersonalizedWalkResult result;
+  typename TestFixture::Walker walker(&f.store, &f.social, opts);
+  typename TestFixture::Result result;
   Status s = walker.Walk(3, 5000, 2, &result);
   EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
   EXPECT_EQ(result.length, 0u);
   EXPECT_EQ(result.fetches, 0u);
-  EXPECT_TRUE(result.visit_counts.empty());
+  for (uint32_t d = 0; d < TestFixture::kDirs; ++d) {
+    EXPECT_TRUE(result.counts(d).empty()) << "direction " << d;
+  }
 }
 
-TEST(WalkerDeadlineTest, MidWalkCooperativeCancellation) {
-  FlatFixture f(50, 400, 13);
+TYPED_TEST(WalkerDeadlineTest, MidWalkCooperativeCancellation) {
+  FlatFixture<TypeParam> f(50, 400, 13);
   // The stepping clock advances 1µs per read; the deadline allows ~32
   // polls. With stride 16 the walk is cancelled mid-accumulation.
   g_stepping_now.store(0);
   WalkerOptions opts;
   opts.deadline = Deadline::AfterNanos(32'000, &SteppingNow);
   opts.deadline_check_stride = 16;
-  PersonalizedPageRankWalker walker(&f.store, &f.social, opts);
-  PersonalizedWalkResult result;
+  typename TestFixture::Walker walker(&f.store, &f.social, opts);
+  typename TestFixture::Result result;
   Status s = walker.Walk(3, 1'000'000, 2, &result);
   EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
   EXPECT_GT(result.length, 0u);          // it did start
   EXPECT_LT(result.length, 1'000'000u);  // and stopped well short
 }
 
-TEST(WalkerDeadlineTest, UnexpiredDeadlineDoesNotPerturbTheWalk) {
-  FlatFixture f(50, 400, 17);
-  PersonalizedPageRankWalker plain(&f.store, &f.social);
-  PersonalizedWalkResult expected;
+TYPED_TEST(WalkerDeadlineTest, UnexpiredDeadlineDoesNotPerturbTheWalk) {
+  FlatFixture<TypeParam> f(50, 400, 17);
+  typename TestFixture::Walker plain(&f.store, &f.social);
+  typename TestFixture::Result expected;
   ASSERT_TRUE(plain.Walk(5, 4000, 9, &expected).ok());
 
   WalkerOptions opts;
   opts.deadline = Deadline::AfterMillis(60'000);  // generous, real clock
-  PersonalizedPageRankWalker guarded(&f.store, &f.social, opts);
-  PersonalizedWalkResult got;
+  typename TestFixture::Walker guarded(&f.store, &f.social, opts);
+  typename TestFixture::Result got;
   ASSERT_TRUE(guarded.Walk(5, 4000, 9, &got).ok());
   // Deadline polling must not touch the RNG stream: bit-identical walk.
   EXPECT_EQ(got.length, expected.length);
   EXPECT_EQ(got.resets, expected.resets);
-  EXPECT_EQ(got.visit_counts, expected.visit_counts);
+  for (uint32_t d = 0; d < TestFixture::kDirs; ++d) {
+    EXPECT_EQ(got.counts(d), expected.counts(d)) << "direction " << d;
+  }
 }
 
 // ---- QueryService deadline threading --------------------------------

@@ -772,8 +772,8 @@ TEST(QueryServiceTest, DenseFrozenReadsMatchLiveShardedWalkerAtSOneAndFour) {
 
       const NodeId seed = static_cast<NodeId>((epoch * 31 + S) % n);
       LiveShardedView live_view(&engine);
-      BasicPersonalizedPageRankWalker<LiveShardedView, DiGraph> live_walker(
-          &live_view, &engine.graph());
+      BasicPersonalizedWalker<PageRankWalk, LiveShardedView, DiGraph>
+          live_walker(&live_view, &engine.graph());
       std::vector<ScoredNode> live_ranked;
       PersonalizedWalkResult live_walk;
       ASSERT_TRUE(live_walker
@@ -872,8 +872,8 @@ TEST(QueryServiceTest, DenseMapResolutionDuringPublishRotation) {
   EXPECT_EQ(stats.segment_rows_dense, n * spn);
   EXPECT_EQ(stats.segment_rows_global_model, 4 * n * spn);
   LiveShardedView live_view(&engine);
-  BasicPersonalizedPageRankWalker<LiveShardedView, DiGraph> live_walker(
-      &live_view, &engine.graph());
+  BasicPersonalizedWalker<PageRankWalk, LiveShardedView, DiGraph>
+      live_walker(&live_view, &engine.graph());
   std::vector<ScoredNode> live_ranked;
   std::vector<ScoredNode> svc_ranked;
   ASSERT_TRUE(live_walker
